@@ -1,4 +1,4 @@
-.PHONY: all build vet lint test race bench dsp-bench obs-bench bench-obs bench-decision bench-decision-smoke bench-denoise bench-fleet bench-fleet-smoke cover fleet-smoke
+.PHONY: all build vet lint test race bench bench-harness bench-dsp obs-bench bench-obs bench-decision bench-decision-smoke bench-denoise bench-fleet bench-fleet-smoke cover fleet-smoke
 
 all: build test
 
@@ -27,8 +27,12 @@ lint: vet
 	    echo "lint: staticcheck clean"; \
 	fi
 
+# The nested perfbench module is vetted too: the root `go build ./...`
+# never compiles it, so an API change that breaks the benchmark would
+# otherwise pass.
 test: build lint
 	go test ./...
+	cd perfbench && go vet ./...
 	$(MAKE) bench-decision-smoke
 	$(MAKE) bench-fleet-smoke
 
@@ -55,40 +59,51 @@ race:
 fleet-smoke:
 	go test -short -count=1 -run 'TestFleetSmoke|TestFleetDifferentialVsDirect' -v ./internal/fleet
 
+# Every BENCH file writer, in turn. Each gated writer fails (keeping
+# its checked-in baseline) when a gated metric regresses >20% against
+# it, and make stops at the first failure.
+bench: bench-dsp bench-decision bench-denoise bench-obs bench-fleet
+
+# eddie-bench with the commit stamped into the binary, so every BENCH
+# file's header records the revision it measured (a checkout without
+# .git falls back to "unknown").
+EDDIE_BENCH := go run $(if $(wildcard .git),-buildvcs=true) ./cmd/eddie-bench
+
 # Wall-clock benchmarks of the experiment harnesses.
-bench:
+bench-harness:
 	go test -short -bench 'Table1|Fig4' -benchtime=1x -run '^$$' .
 
-# DSP kernel micro-benchmarks, machine-readable output.
-dsp-bench:
-	go run ./cmd/eddie-bench -dsp-bench BENCH_dsp.json
+# DSP kernel micro-benchmarks, machine-readable output (ungated).
+bench-dsp:
+	$(EDDIE_BENCH) -dsp-bench BENCH_dsp.json
 
 # Decision-path + training benchmarks, machine-readable output. Rewrites
 # BENCH_decision.json; fails (keeping the checked-in baseline) when the
 # steady-state Observe benchmark regresses >20% against it.
 bench-decision:
-	go run ./cmd/eddie-bench -decision-bench BENCH_decision.json
+	$(EDDIE_BENCH) -decision-bench BENCH_decision.json
 
 # Subspace-denoising kernel benchmarks (randomized truncated SVD,
 # Gram-Schmidt orthonormalization, steady-state denoiser push).
 # Rewrites BENCH_denoise.json; fails (keeping the checked-in baseline)
 # when the per-window DenoisePush cost regresses >20% against it.
 bench-denoise:
-	go run ./cmd/eddie-bench -denoise-bench BENCH_denoise.json
+	$(EDDIE_BENCH) -denoise-bench BENCH_denoise.json
 
 # Fleet-load session-density benchmark: client swarms over localhost TCP
-# climb a session ladder against the sharded and goroutine-per-session
-# servers, then the coordinator scaling rungs (1 vs 2 capped backends
-# behind the consistent-hash coordinator, which must show >=1.8x
-# sustained sessions inside the latency budget). Rewrites
-# BENCH_fleet.json; fails (keeping the checked-in baseline) when
-# sustained sessions or p99 frame-to-verdict latency regresses >20%
-# against it, or the coordinator scaling floor is missed.
+# climb a session ladder against the sharded server, then the
+# coordinator scaling rungs (1 vs 2 capped backends behind the
+# consistent-hash coordinator, which must show >=1.8x sustained sessions
+# inside the latency budget). Rewrites BENCH_fleet.json; fails (keeping
+# the checked-in baseline) when sustained sessions, p99 frame-to-verdict
+# latency (compared only when the sustained rung did not grow) or
+# coordinated sessions regress >20% against it, or the coordinator
+# scaling floor is missed.
 bench-fleet:
-	go run ./cmd/eddie-bench -fleet-bench BENCH_fleet.json
+	$(EDDIE_BENCH) -fleet-bench BENCH_fleet.json
 
-# Cheap fleet-bench gate for `make test`: one tiny ungated rung in each
-# mode — plus a 2-backend rung through the coordinator, so redirects and
+# Cheap fleet-bench gate for `make test`: one tiny ungated single-node
+# rung — plus a 2-backend rung through the coordinator, so redirects and
 # per-backend admission are exercised on every `make test` — proves the
 # harness still trains, connects, bursts and reports without paying for
 # (or perturbing) the full ladder.
@@ -120,7 +135,7 @@ obs-bench:
 # a per-frame instrument allocates, exceeds 1µs/op, or regresses >20%
 # in ns/op against the baseline.
 bench-obs:
-	go run ./cmd/eddie-bench -obs-bench BENCH_obs.json
+	$(EDDIE_BENCH) -obs-bench BENCH_obs.json
 
 # Per-package coverage over the short suite; fails if the hardened
 # packages (internal/stream, internal/impair, internal/obs,

@@ -1,29 +1,11 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"testing"
 
 	"eddie/internal/dsp"
 )
-
-// kernelBench names one stdlib-driver benchmark that lands in a JSON
-// results file (shared by the dsp and denoise modes).
-type kernelBench struct {
-	name string
-	n    int
-	fn   func(b *testing.B)
-}
-
-// denoisePushRegressionLimit is the accepted slowdown of the
-// steady-state DenoisePush benchmark against the checked-in
-// BENCH_denoise.json before the run fails (leaving the baseline file
-// untouched).
-const denoisePushRegressionLimit = 1.20
 
 // denoiseBenches builds the subspace-kernel benchmarks at the
 // spectrogram shape the stream detector actually runs (257 bins from a
@@ -99,61 +81,10 @@ func denoiseBenches() []kernelBench {
 }
 
 // runDenoiseBench times the subspace-denoising kernels and writes
-// BENCH_denoise.json (same schema as BENCH_dsp.json). The steady-state
-// DenoisePush benchmark — the per-window cost the stream detector pays
-// when denoising is on — is regression-gated: if it lands >20% over the
-// checked-in baseline the run fails and the baseline file is left
-// untouched, mirroring the decision-bench gate.
+// BENCH_denoise.json. The steady-state DenoisePush benchmark — the
+// per-window cost the stream detector pays when denoising is on — is
+// regression-gated.
 func runDenoiseBench(path string) error {
-	out := dspBenchFile{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	ns := map[string]float64{}
-	for _, bm := range denoiseBenches() {
-		r := testing.Benchmark(bm.fn)
-		res := dspBenchResult{
-			Name:        bm.name,
-			N:           bm.n,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		out.Results = append(out.Results, res)
-		ns[res.Name] = res.NsPerOp
-		fmt.Printf("%-16s n=%-7d %12.0f ns/op %10d B/op %6d allocs/op\n",
-			res.Name, res.N, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-	}
-
-	if old, err := loadBaselineNs(path, "DenoisePush"); err != nil {
-		return err
-	} else if old > 0 && ns["DenoisePush"] > old*denoisePushRegressionLimit {
-		return fmt.Errorf("DenoisePush regressed: %.0f ns/op vs baseline %.0f ns/op (>%.0f%% slower); baseline %s left untouched",
-			ns["DenoisePush"], old, (denoisePushRegressionLimit-1)*100, path)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// loadBaselineNs returns the named benchmark's checked-in ns/op, 0 when
-// no baseline file exists yet or the entry is absent.
-func loadBaselineNs(path, name string) (float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	var f dspBenchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return 0, fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	for _, r := range f.Results {
-		if r.Name == name {
-			return r.NsPerOp, nil
-		}
-	}
-	return 0, nil
+	return writeGated(path, runBenches(denoiseBenches()),
+		[]gatedMetric[benchFile]{nsPerOp("DenoisePush")})
 }

@@ -1,37 +1,14 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"testing"
 
 	"eddie/internal/dsp"
 )
 
-// dspBenchResult is one kernel's measurement in BENCH_dsp.json.
-type dspBenchResult struct {
-	Name        string  `json:"name"`
-	N           int     `json:"n"` // transform or signal size
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// dspBenchFile is the top-level schema of BENCH_dsp.json.
-type dspBenchFile struct {
-	GoVersion  string           `json:"go_version"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Results    []dspBenchResult `json:"results"`
-}
-
-// runDSPBench times the DSP kernels with the stdlib benchmark driver and
-// writes the results as JSON. The same kernels are covered by the
-// go-test benchmarks in internal/dsp; this mode exists so the numbers can
-// be captured by scripts without parsing `go test -bench` text output.
+// runDSPBench times the DSP kernels and writes BENCH_dsp.json (ungated:
+// the per-kernel reference file).
 func runDSPBench(path string) error {
 	sig := make([]float64, 1<<17)
 	for i := range sig {
@@ -85,24 +62,5 @@ func runDSPBench(path string) error {
 	// per-kernel reference file; -denoise-bench runs just them, gated.
 	benches = append(benches, denoiseBenches()...)
 
-	out := dspBenchFile{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	for _, bm := range benches {
-		r := testing.Benchmark(bm.fn)
-		res := dspBenchResult{
-			Name:        bm.name,
-			N:           bm.n,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		out.Results = append(out.Results, res)
-		fmt.Printf("%-16s n=%-7d %12.0f ns/op %10d B/op %6d allocs/op\n",
-			res.Name, res.N, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeGated(path, runBenches(benches), nil)
 }

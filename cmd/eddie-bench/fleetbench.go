@@ -16,7 +16,6 @@ import (
 	"eddie/internal/core"
 	"eddie/internal/dsp"
 	"eddie/internal/fleet"
-	"eddie/internal/par"
 	"eddie/internal/stream"
 	"eddie/internal/synthbench"
 )
@@ -28,10 +27,8 @@ import (
 // mostly-idle steady state a dense fleet lives in) followed by an
 // anomalous burst — and each session times the gap from writing its
 // first anomalous frame to receiving the first report back over the
-// wire. The ladder runs twice: once against the sharded batch
-// processors (this PR's design) and once in goroutine-per-session mode
-// (one private processor goroutine per connection, the legacy
-// scheduling shape), climbing until a rung blows the latency bound.
+// wire. The ladder climbs until a rung blows the latency bound; then
+// the coordinator rungs measure 1 vs 2 capped backends.
 const (
 	fleetChunk          = 2048                   // samples per frame (16 KiB payloads)
 	fleetCleanFrames    = 8                      // paced steady-state prefix
@@ -44,10 +41,6 @@ const (
 	// headline — and the regression gate keyed to it — flaky.
 	fleetSustainP99Ms = 0.9 * fleetLatencyBoundMs
 	fleetRungTimeout  = 3 * time.Minute
-	// fleetRegressionLimit gates a rerun against the checked-in
-	// BENCH_fleet.json: >20% fewer sustained sessions or >20% higher
-	// p99 at the sustained rung fails the run, baseline left untouched.
-	fleetRegressionLimit = 1.20
 	// fleetCoordPerNodeCap emulates fixed per-node capacity for the
 	// coordinator scaling rungs. One node's true sustainable density is a
 	// property of whatever box runs the bench, so the 1-vs-2-backend
@@ -77,11 +70,11 @@ type fleetRungResult struct {
 	DurationSec         float64 `json:"duration_sec"`
 }
 
-type fleetModeSummary struct {
-	// AdmissionCap is the design's default MaxSessions on this node:
-	// the legacy CPU-derived cap for goroutine-per-session, the
-	// memory-derived default for sharded. A node cannot host more
-	// sessions than it admits, so SessionsPerNode = min(cap, measured).
+// fleetNodeSummary is the single-node headline.
+type fleetNodeSummary struct {
+	// AdmissionCap is the server's default (memory-derived) MaxSessions
+	// on this node. A node cannot host more sessions than it admits, so
+	// SessionsPerNode = min(cap, measured).
 	AdmissionCap      int     `json:"admission_cap"`
 	MeasuredSustained int     `json:"measured_sustained_sessions"`
 	SessionsPerNode   int     `json:"sessions_per_node"`
@@ -98,23 +91,43 @@ type fleetCoordSummary struct {
 }
 
 type fleetBenchFile struct {
-	GoVersion       string            `json:"go_version"`
-	GOMAXPROCS      int               `json:"gomaxprocs"`
-	NumCPU          int               `json:"num_cpu"`
-	ChunkSamples    int               `json:"chunk_samples"`
-	CleanFrames     int               `json:"clean_frames"`
-	BurstFrames     int               `json:"burst_frames"`
-	PaceMs          float64           `json:"pace_ms"`
-	LatencyBoundMs  float64           `json:"latency_bound_ms"`
-	SustainP99Ms    float64           `json:"sustain_p99_ms"`
-	Rungs           []fleetRungResult `json:"rungs"`
-	Baseline        fleetModeSummary  `json:"goroutine_per_session"`
-	Sharded         fleetModeSummary  `json:"sharded"`
-	SessionsSpeedup float64           `json:"sessions_per_node_speedup"`
-	CoordRungs      []fleetRungResult `json:"coord_rungs,omitempty"`
-	Coord1          fleetCoordSummary `json:"coord_1_backend"`
-	Coord2          fleetCoordSummary `json:"coord_2_backends"`
-	CoordSpeedup    float64           `json:"coord_sessions_speedup"`
+	benchHeader
+	ChunkSamples   int               `json:"chunk_samples"`
+	CleanFrames    int               `json:"clean_frames"`
+	BurstFrames    int               `json:"burst_frames"`
+	PaceMs         float64           `json:"pace_ms"`
+	LatencyBoundMs float64           `json:"latency_bound_ms"`
+	SustainP99Ms   float64           `json:"sustain_p99_ms"`
+	Rungs          []fleetRungResult `json:"rungs"`
+	Sharded        fleetNodeSummary  `json:"sharded"`
+	CoordRungs     []fleetRungResult `json:"coord_rungs,omitempty"`
+	Coord1         fleetCoordSummary `json:"coord_1_backend"`
+	Coord2         fleetCoordSummary `json:"coord_2_backends"`
+	CoordSpeedup   float64           `json:"coord_sessions_speedup"`
+}
+
+// fleetGates are the fleet bench's regression gates against the
+// checked-in BENCH_fleet.json.
+var fleetGates = []gatedMetric[fleetBenchFile]{
+	{
+		name: "sharded sessions/node", better: higherIsBetter, limit: regressionLimit,
+		value: func(f *fleetBenchFile) float64 { return float64(f.Sharded.MeasuredSustained) },
+	},
+	{
+		name: "sharded p99 frame-to-verdict ms", better: lowerIsBetter, limit: regressionLimit,
+		value: func(f *fleetBenchFile) float64 { return f.Sharded.P99Ms },
+		// p99 is only comparable at comparable density: sustaining MORE
+		// sessions at a higher (still in-bound) p99 is an improvement,
+		// so the latency gate applies only when the sustained rung
+		// didn't grow.
+		applies: func(old, cur *fleetBenchFile) bool {
+			return cur.Sharded.MeasuredSustained <= old.Sharded.MeasuredSustained
+		},
+	},
+	{
+		name: "coordinated sessions (2 backends)", better: higherIsBetter, limit: regressionLimit,
+		value: func(f *fleetBenchFile) float64 { return float64(f.Coord2.MeasuredSustained) },
+	},
 }
 
 // fleetBenchEnv is the trained model plus the precomputed wire frames
@@ -158,11 +171,10 @@ func newFleetBenchEnv() (*fleetBenchEnv, error) {
 	return env, nil
 }
 
-func (env *fleetBenchEnv) serverConfig(mode string, sessions int) fleet.Config {
+func (env *fleetBenchEnv) serverConfig(sessions int) fleet.Config {
 	return fleet.Config{
-		Models:              fleet.StaticModels{"synthfleet": env.model},
-		MaxSessions:         sessions + 8,
-		GoroutinePerSession: mode == "goroutine-per-session",
+		Models:      fleet.StaticModels{"synthfleet": env.model},
+		MaxSessions: sessions + 8,
 		Stream: stream.Config{
 			STFT:    env.stft,
 			Peaks:   env.peaks,
@@ -337,8 +349,7 @@ func (env *fleetBenchEnv) driveRung(res *fleetRungResult, addr string, sessions 
 	}
 
 	// Sample memory at peak concurrency: all sessions admitted, clean
-	// phase in flight. The delta includes the bench's own client state,
-	// identical across modes, so mode-to-mode differences are server-side.
+	// phase in flight. The delta includes the bench's own client state.
 	welcomed.Wait()
 	runtime.GC()
 	var peak runtime.MemStats
@@ -363,11 +374,11 @@ func (env *fleetBenchEnv) driveRung(res *fleetRungResult, addr string, sessions 
 	res.Sustained = failures == 0 && len(lats) == sessions && res.P99Ms <= fleetSustainP99Ms
 }
 
-// runFleetRung runs one (mode, sessions) point of the single-node ladder.
-func runFleetRung(env *fleetBenchEnv, mode string, sessions int) (fleetRungResult, error) {
-	res := fleetRungResult{Mode: mode, Sessions: sessions, WireBytesPerSession: env.wireBytes}
+// runFleetRung runs one point of the single-node ladder.
+func runFleetRung(env *fleetBenchEnv, sessions int) (fleetRungResult, error) {
+	res := fleetRungResult{Mode: "sharded", Sessions: sessions, WireBytesPerSession: env.wireBytes}
 
-	srv, err := fleet.NewServer(env.serverConfig(mode, sessions))
+	srv, err := fleet.NewServer(env.serverConfig(sessions))
 	if err != nil {
 		return res, err
 	}
@@ -414,7 +425,7 @@ func runCoordRung(env *fleetBenchEnv, backends, perCap, sessions int) (fleetRung
 		// coordinator's hard cap: admission is enforced at the
 		// coordinator, and a load-estimate reconcile race there must not
 		// turn into a spurious backend refusal.
-		srv, err := fleet.NewServer(env.serverConfig("sharded", perCap))
+		srv, err := fleet.NewServer(env.serverConfig(perCap))
 		if err != nil {
 			return res, err
 		}
@@ -455,18 +466,8 @@ func runCoordRung(env *fleetBenchEnv, backends, perCap, sessions int) (fleetRung
 	return res, nil
 }
 
-// legacyMaxSessions is the CPU-derived admission cap the server shipped
-// with before density work: max(4 x parallelism, 8).
-func legacyMaxSessions() int {
-	n := 4 * par.Parallelism()
-	if n < 8 {
-		n = 8
-	}
-	return n
-}
-
-// runFleetBench climbs the session ladder in both modes and writes the
-// JSON results, gated against the checked-in baseline.
+// runFleetBench climbs the session ladder and the coordinator rungs and
+// writes the JSON results, gated against the checked-in baseline.
 func runFleetBench(path string, short, smoke bool) error {
 	// Density is a per-box headline, so rungs run at full machine width
 	// even when the environment lowered GOMAXPROCS.
@@ -486,9 +487,7 @@ func runFleetBench(path string, short, smoke bool) error {
 	}
 
 	out := fleetBenchFile{
-		GoVersion:      runtime.Version(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		NumCPU:         runtime.NumCPU(),
+		benchHeader:    newBenchHeader(),
 		ChunkSamples:   fleetChunk,
 		CleanFrames:    fleetCleanFrames,
 		BurstFrames:    fleetBurstFrames,
@@ -497,58 +496,30 @@ func runFleetBench(path string, short, smoke bool) error {
 		SustainP99Ms:   fleetSustainP99Ms,
 	}
 
-	summaries := map[string]*fleetModeSummary{
-		"sharded":               &out.Sharded,
-		"goroutine-per-session": &out.Baseline,
+	sum := &out.Sharded
+	sum.AdmissionCap = fleet.DefaultMaxSessions()
+	// Single-shot latency on a shared box is ~1.3x noisy while the
+	// regression gate is 20%, so every rung is best-of-two (one attempt
+	// in smoke mode, which is ungated).
+	attempts := 2
+	if smoke {
+		attempts = 1
 	}
-	out.Sharded.AdmissionCap = fleet.DefaultMaxSessions()
-	out.Baseline.AdmissionCap = legacyMaxSessions()
-
-	for _, mode := range []string{"goroutine-per-session", "sharded"} {
-		sum := summaries[mode]
-		for _, n := range ladder {
-			// Single-shot latency on a shared box is ~1.3x noisy while the
-			// regression gate is 20%, so every rung is best-of-two (one
-			// attempt in smoke mode, which is ungated): keep the sustained
-			// attempt, or the lower p99 when both land the same way. A
-			// rung genuinely over the latency bound misses both times.
-			var res fleetRungResult
-			attempts := 2
-			if smoke {
-				attempts = 1
-			}
-			for a := 0; a < attempts; a++ {
-				r, err := runFleetRung(env, mode, n)
-				if err != nil {
-					return fmt.Errorf("%s n=%d: %w", mode, n, err)
-				}
-				if a == 0 || (r.Sustained && !res.Sustained) ||
-					(r.Sustained == res.Sustained && r.P99Ms < res.P99Ms) {
-					res = r
-				}
-			}
-			out.Rungs = append(out.Rungs, res)
-			fmt.Printf("%-22s n=%-5d p50 %8.1f ms  p99 %8.1f ms  alarms/s %7.1f  mem/sess %7d B  fail %d  %s\n",
-				mode, n, res.P50Ms, res.P99Ms, res.AlarmsPerSec, res.MemBytesPerSession, res.Failures,
-				map[bool]string{true: "sustained", false: "NOT sustained"}[res.Sustained])
-			if !res.Sustained {
-				break // higher rungs only get worse
-			}
-			sum.MeasuredSustained = n
-			sum.P99Ms = res.P99Ms
+	for _, n := range ladder {
+		res, err := bestRung(attempts, func() (fleetRungResult, error) { return runFleetRung(env, n) })
+		if err != nil {
+			return fmt.Errorf("sharded n=%d: %w", n, err)
 		}
-		sum.SessionsPerNode = sum.MeasuredSustained
-		if sum.AdmissionCap < sum.SessionsPerNode {
-			sum.SessionsPerNode = sum.AdmissionCap
+		out.Rungs = append(out.Rungs, res)
+		printFleetRung(res)
+		if !res.Sustained {
+			break // higher rungs only get worse
 		}
+		sum.MeasuredSustained = n
+		sum.P99Ms = res.P99Ms
 	}
-
-	if out.Baseline.SessionsPerNode > 0 {
-		out.SessionsSpeedup = float64(out.Sharded.SessionsPerNode) / float64(out.Baseline.SessionsPerNode)
-	}
-	fmt.Printf("sessions/node: sharded %d (cap %d) vs goroutine-per-session %d (cap %d): %.1fx\n",
-		out.Sharded.SessionsPerNode, out.Sharded.AdmissionCap,
-		out.Baseline.SessionsPerNode, out.Baseline.AdmissionCap, out.SessionsSpeedup)
+	sum.SessionsPerNode = min(sum.MeasuredSustained, sum.AdmissionCap)
+	fmt.Printf("sessions/node: %d (cap %d)\n", sum.SessionsPerNode, sum.AdmissionCap)
 
 	// Coordinator scaling phase: does adding a backend add capacity?
 	perCap := fleetCoordPerNodeCap
@@ -573,27 +544,20 @@ func runFleetBench(path string, short, smoke bool) error {
 	out.Coord2 = fleetCoordSummary{Backends: 2, PerBackendCap: perCap}
 	coordSums := map[int]*fleetCoordSummary{1: &out.Coord1, 2: &out.Coord2}
 	for _, pt := range points {
-		attempts := 2
-		if smoke || pt.sessions > pt.backends*perCap {
+		n := attempts
+		if pt.sessions > pt.backends*perCap {
 			// The over-cap probe is qualitative — admission must refuse the
 			// spill — so one attempt suffices.
-			attempts = 1
+			n = 1
 		}
-		var res fleetRungResult
-		for a := 0; a < attempts; a++ {
-			r, err := runCoordRung(env, pt.backends, perCap, pt.sessions)
-			if err != nil {
-				return fmt.Errorf("coord-%d n=%d: %w", pt.backends, pt.sessions, err)
-			}
-			if a == 0 || (r.Sustained && !res.Sustained) ||
-				(r.Sustained == res.Sustained && r.P99Ms < res.P99Ms) {
-				res = r
-			}
+		res, err := bestRung(n, func() (fleetRungResult, error) {
+			return runCoordRung(env, pt.backends, perCap, pt.sessions)
+		})
+		if err != nil {
+			return fmt.Errorf("coord-%d n=%d: %w", pt.backends, pt.sessions, err)
 		}
 		out.CoordRungs = append(out.CoordRungs, res)
-		fmt.Printf("%-22s n=%-5d p50 %8.1f ms  p99 %8.1f ms  alarms/s %7.1f  mem/sess %7d B  fail %d  %s\n",
-			res.Mode, res.Sessions, res.P50Ms, res.P99Ms, res.AlarmsPerSec, res.MemBytesPerSession, res.Failures,
-			map[bool]string{true: "sustained", false: "NOT sustained"}[res.Sustained])
+		printFleetRung(res)
 		if sum := coordSums[pt.backends]; res.Sustained && pt.sessions > sum.MeasuredSustained {
 			sum.MeasuredSustained = pt.sessions
 			sum.P99Ms = res.P99Ms
@@ -603,56 +567,39 @@ func runFleetBench(path string, short, smoke bool) error {
 		out.CoordSpeedup = float64(out.Coord2.MeasuredSustained) / float64(out.Coord1.MeasuredSustained)
 	}
 
-	if !smoke {
-		fmt.Printf("coord scaling: 2 backends sustain %d vs 1 backend %d (per-backend cap %d): %.1fx\n",
-			out.Coord2.MeasuredSustained, out.Coord1.MeasuredSustained, perCap, out.CoordSpeedup)
-		if out.CoordSpeedup < fleetCoordSpeedupFloor {
-			return fmt.Errorf("coordinator scaling below floor: 2 backends sustain %d vs 1 backend's %d (%.2fx < %.1fx); baseline %s left untouched",
-				out.Coord2.MeasuredSustained, out.Coord1.MeasuredSustained, out.CoordSpeedup, fleetCoordSpeedupFloor, path)
-		}
-		if err := gateFleetBench(path, &out); err != nil {
-			return err
-		}
+	if smoke {
+		return writeGated(path, &out, nil) // liveness check: ungated
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
+	fmt.Printf("coord scaling: 2 backends sustain %d vs 1 backend %d (per-backend cap %d): %.1fx\n",
+		out.Coord2.MeasuredSustained, out.Coord1.MeasuredSustained, perCap, out.CoordSpeedup)
+	if out.CoordSpeedup < fleetCoordSpeedupFloor {
+		return fmt.Errorf("coordinator scaling below floor: 2 backends sustain %d vs 1 backend's %d (%.2fx < %.1fx); baseline %s left untouched",
+			out.Coord2.MeasuredSustained, out.Coord1.MeasuredSustained, out.CoordSpeedup, fleetCoordSpeedupFloor, path)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeGated(path, &out, fleetGates)
 }
 
-// gateFleetBench fails (leaving the checked-in baseline untouched) when
-// the new run regresses >20% against it on either sustained sessions or
-// p99 frame-to-verdict latency at the sustained rung.
-func gateFleetBench(path string, out *fleetBenchFile) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
+// bestRung runs a rung attempts times and keeps the sustained attempt,
+// or the lower p99 when all land the same way. A rung genuinely over
+// the latency bound misses every time.
+func bestRung(attempts int, run func() (fleetRungResult, error)) (fleetRungResult, error) {
+	var res fleetRungResult
+	for a := 0; a < attempts; a++ {
+		r, err := run()
+		if err != nil {
+			return r, err
 		}
-		return err
+		if a == 0 || (r.Sustained && !res.Sustained) ||
+			(r.Sustained == res.Sustained && r.P99Ms < res.P99Ms) {
+			res = r
+		}
 	}
-	var old fleetBenchFile
-	if err := json.Unmarshal(data, &old); err != nil {
-		return fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	if old.Sharded.MeasuredSustained > 0 &&
-		float64(out.Sharded.MeasuredSustained)*fleetRegressionLimit < float64(old.Sharded.MeasuredSustained) {
-		return fmt.Errorf("sharded sessions/node regressed: %d vs baseline %d (>%.0f%%); baseline %s left untouched",
-			out.Sharded.MeasuredSustained, old.Sharded.MeasuredSustained, (fleetRegressionLimit-1)*100, path)
-	}
-	// p99 is only comparable at comparable density: sustaining MORE
-	// sessions at a higher (still in-bound) p99 is an improvement, so the
-	// latency gate applies only when the sustained rung didn't grow.
-	if old.Sharded.P99Ms > 0 && out.Sharded.MeasuredSustained <= old.Sharded.MeasuredSustained &&
-		out.Sharded.P99Ms > old.Sharded.P99Ms*fleetRegressionLimit {
-		return fmt.Errorf("sharded p99 frame-to-verdict regressed: %.1f ms vs baseline %.1f ms (>%.0f%%); baseline %s left untouched",
-			out.Sharded.P99Ms, old.Sharded.P99Ms, (fleetRegressionLimit-1)*100, path)
-	}
-	if old.Coord2.MeasuredSustained > 0 &&
-		float64(out.Coord2.MeasuredSustained)*fleetRegressionLimit < float64(old.Coord2.MeasuredSustained) {
-		return fmt.Errorf("coordinated sessions (2 backends) regressed: %d vs baseline %d (>%.0f%%); baseline %s left untouched",
-			out.Coord2.MeasuredSustained, old.Coord2.MeasuredSustained, (fleetRegressionLimit-1)*100, path)
-	}
-	return nil
+	return res, nil
+}
+
+// printFleetRung prints one rung's line.
+func printFleetRung(res fleetRungResult) {
+	fmt.Printf("%-22s n=%-5d p50 %8.1f ms  p99 %8.1f ms  alarms/s %7.1f  mem/sess %7d B  fail %d  %s\n",
+		res.Mode, res.Sessions, res.P50Ms, res.P99Ms, res.AlarmsPerSec, res.MemBytesPerSession, res.Failures,
+		map[bool]string{true: "sustained", false: "NOT sustained"}[res.Sustained])
 }

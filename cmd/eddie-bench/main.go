@@ -12,25 +12,30 @@
 // With no -run flag every experiment runs, in paper order. -short scales
 // the run counts down (~10x faster, noisier numbers). -parallel fixes the
 // worker-pool size used for run collection (0 = EDDIE_PARALLELISM env or
-// GOMAXPROCS). -dsp-bench skips the experiments and instead times the DSP
-// kernels, writing machine-readable results to the given JSON file.
-// -decision-bench does the same for the monitor decision path and the
-// training fan-out, and fails without overwriting the file when the
-// steady-state Observe benchmark regresses >20% against it.
-// -denoise-bench times the SVD subspace-denoising kernels (randomized
-// truncated SVD, Gram-Schmidt orthonormalization, steady-state denoiser
-// push) and fails without overwriting the file when the per-window
-// DenoisePush cost regresses >20%.
-// -fleet-bench runs the fleet-load harness: client swarms over localhost
-// TCP against the sharded and goroutine-per-session servers, climbing a
-// session-count ladder and recording frame-to-verdict latency; it fails
-// without overwriting the file when sustained sessions or p99 latency
-// regresses >20%. -fleet-short shrinks the ladder; -fleet-smoke runs one
-// tiny ungated rung (CI liveness check).
-// -obs-bench times the observability plane (journal append, latency
-// histogram record, SLO record, drift EWMA); the per-frame instruments
-// must stay zero-alloc and under 1µs/op, and fail the run without
-// overwriting the file on a >20% ns/op regression.
+// GOMAXPROCS).
+//
+// The -*-bench modes skip the experiments and write one machine-readable
+// BENCH file each. Every file opens with the same header (go_version,
+// gomaxprocs, num_cpu and the commit stamped into the binary). Gated
+// modes compare a declared list of metrics against the checked-in file
+// and fail without overwriting it when any regressed >20%:
+//   - -dsp-bench times the DSP kernels (ungated).
+//   - -decision-bench times the monitor decision path and the training
+//     fan-out, gated on the steady-state Observe benchmark.
+//   - -denoise-bench times the SVD subspace-denoising kernels (randomized
+//     truncated SVD, Gram-Schmidt orthonormalization, steady-state
+//     denoiser push), gated on DenoisePush.
+//   - -obs-bench times the observability plane (journal append, latency
+//     histogram record, SLO record, drift EWMA); the per-frame
+//     instruments must also stay zero-alloc and under 1µs/op.
+//   - -fleet-bench runs the fleet-load harness: client swarms over
+//     localhost TCP against the sharded server, climbing a session-count
+//     ladder and recording frame-to-verdict latency, then 1 vs 2 capped
+//     backends behind the coordinator (which must reach 1.8x). It is
+//     gated on sustained sessions, p99 latency (only when the sustained
+//     rung did not grow) and coordinated sessions. -fleet-short shrinks
+//     the ladder; -fleet-smoke runs one tiny ungated rung (CI liveness
+//     check).
 package main
 
 import (

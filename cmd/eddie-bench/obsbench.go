@@ -1,21 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"eddie/internal/metrics"
 	"eddie/internal/obs"
 )
-
-// obsRegressionLimit is the accepted slowdown of the gated observability
-// benchmarks against the checked-in BENCH_obs.json before the run fails
-// (leaving the baseline file untouched).
-const obsRegressionLimit = 1.20
 
 // obsGatedBenches are regression-gated on ns/op AND must stay
 // zero-alloc: these run on the fleet's per-frame hot path.
@@ -90,12 +83,11 @@ func obsBenches() ([]kernelBench, func(), error) {
 	return benches, cleanup, nil
 }
 
-// runObsBench times the observability plane and writes BENCH_obs.json
-// (same schema as BENCH_dsp.json). The per-frame instruments — journal
-// lifecycle append, log-histogram record, SLO record — are gated two
-// ways: they must stay zero-alloc and under 1µs/op absolutely, and
-// within 20% of the checked-in baseline. A failed gate leaves the
-// baseline file untouched, mirroring the other bench gates.
+// runObsBench times the observability plane and writes BENCH_obs.json.
+// The per-frame instruments — journal lifecycle append, log-histogram
+// record, SLO record — are gated two ways: they must stay zero-alloc and
+// under 1µs/op absolutely, and within 20% of the checked-in baseline. A
+// failed gate leaves the baseline file untouched.
 func runObsBench(path string) error {
 	benches, cleanup, err := obsBenches()
 	if err != nil {
@@ -103,42 +95,17 @@ func runObsBench(path string) error {
 	}
 	defer cleanup()
 
-	out := dspBenchFile{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	results := map[string]dspBenchResult{}
-	for _, bm := range benches {
-		r := testing.Benchmark(bm.fn)
-		res := dspBenchResult{
-			Name:        bm.name,
-			N:           bm.n,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		out.Results = append(out.Results, res)
-		results[res.Name] = res
-		fmt.Printf("%-18s %12.0f ns/op %10d B/op %6d allocs/op\n",
-			res.Name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-	}
-
+	out := runBenches(benches)
+	var gates []gatedMetric[benchFile]
 	for _, name := range obsGatedBenches {
-		res := results[name]
+		res := out.result(name)
 		if res.AllocsPerOp != 0 {
 			return fmt.Errorf("%s allocates (%d allocs/op): the steady-state observability path must be zero-alloc", name, res.AllocsPerOp)
 		}
 		if res.NsPerOp > 1000 {
 			return fmt.Errorf("%s costs %.0f ns/op (>1µs/frame budget)", name, res.NsPerOp)
 		}
-		if old, err := loadBaselineNs(path, name); err != nil {
-			return err
-		} else if old > 0 && res.NsPerOp > old*obsRegressionLimit {
-			return fmt.Errorf("%s regressed: %.0f ns/op vs baseline %.0f ns/op (>%.0f%% slower); baseline %s left untouched",
-				name, res.NsPerOp, old, (obsRegressionLimit-1)*100, path)
-		}
+		gates = append(gates, nsPerOp(name))
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeGated(path, out, gates)
 }

@@ -44,7 +44,6 @@ import (
 	"eddie/internal/core"
 	"eddie/internal/dsp"
 	"eddie/internal/fleet"
-	"eddie/internal/impair"
 	"eddie/internal/inject"
 	"eddie/internal/isa"
 	"eddie/internal/metrics"
@@ -61,9 +60,6 @@ import (
 // produces byte-identical results to serial execution at any setting.
 func SetParallelism(n int) { par.SetParallelism(n) }
 
-// Parallelism reports the worker-pool size currently in effect.
-func Parallelism() int { return par.Parallelism() }
-
 // Re-exported core types. The implementation lives in internal packages;
 // these aliases are the supported public surface.
 type (
@@ -71,14 +67,10 @@ type (
 	// execution: per-region reference STS distributions plus the
 	// region-level state machine.
 	Model = core.Model
-	// RegionModel is one region's trained reference data.
-	RegionModel = core.RegionModel
 	// Monitor consumes a stream of STSs and reports anomalies.
 	Monitor = core.Monitor
 	// STS is one Short-Term Spectrum reduced to its peak frequencies.
 	STS = core.STS
-	// Report is one anomaly report.
-	Report = core.Report
 	// Metrics are evaluation results (latency, FP/FN, accuracy, coverage).
 	Metrics = core.Metrics
 	// TrainConfig controls training.
@@ -113,24 +105,6 @@ type (
 	// shared by PipelineConfig.Denoise and StreamConfig.Denoise; the zero
 	// value disables it.
 	DenoiseConfig = dsp.DenoiseConfig
-	// Denoiser is the streaming subspace denoising stage itself, exposed
-	// for rank/energy introspection via Detector.Denoiser.
-	Denoiser = dsp.Denoiser
-	// Impairment is one streaming signal impairment (see the impair
-	// transforms re-exported below).
-	Impairment = impair.Transform
-	// AWGN adds white Gaussian noise at a target SNR.
-	AWGN = impair.AWGN
-	// GainDrift multiplies by a slowly drifting gain.
-	GainDrift = impair.GainDrift
-	// DCWander adds a slowly drifting DC offset.
-	DCWander = impair.DCWander
-	// Dropout zeroes stretches of samples.
-	Dropout = impair.Dropout
-	// ClockSkew resamples by 1 + PPM·1e-6.
-	ClockSkew = impair.ClockSkew
-	// Tone adds a narrow-band interferer.
-	Tone = impair.Tone
 	// DetectorMetrics bundles a detector's runtime counters and
 	// histograms; it plugs into StreamConfig.Metrics or
 	// MonitorConfig.Stats.
@@ -147,15 +121,6 @@ type (
 	// it into MonitorConfig.Flight or StreamConfig.Flight; nil costs
 	// nothing.
 	FlightRecorder = obs.FlightRecorder
-	// WindowRecord is one monitored window's decision provenance: region,
-	// group size, per-rank K-S statistics against the threshold, and the
-	// state-machine transition taken.
-	WindowRecord = obs.WindowRecord
-	// RankKS is one peak rank's K-S test evidence (statistic, critical
-	// value, verdict).
-	RankKS = obs.RankKS
-	// AlarmDump is the flight-recorder snapshot taken when a report fires.
-	AlarmDump = obs.AlarmDump
 	// AlarmJournal is the durable append-only JSONL event log recording
 	// fleet lifecycle events and every alarm with its full flight dump;
 	// recover with RecoverAlarmJournal after a crash.
@@ -163,9 +128,6 @@ type (
 	// AlarmJournalConfig configures an AlarmJournal: directory, rotation
 	// size, fsync policy.
 	AlarmJournalConfig = obs.JournalConfig
-	// JournalEvent is one journal line: sequence, timestamp, type,
-	// device/session/shard provenance and an optional alarm dump.
-	JournalEvent = obs.JournalEvent
 	// RecoveredJournal is the result of replaying a journal directory,
 	// tolerant of a torn tail from a crash mid-append.
 	RecoveredJournal = obs.RecoveredJournal
@@ -178,9 +140,6 @@ type (
 	SLOTracker = obs.SLOTracker
 	// SLOConfig sets the SLO budget, objective and burn thresholds.
 	SLOConfig = obs.SLOConfig
-	// SLOHealth is an SLOTracker health snapshot (status plus short/long
-	// window burn rates).
-	SLOHealth = obs.SLOHealth
 	// ServeState wires observability components into NewServeMux.
 	ServeState = obs.ServeState
 	// FleetServer hosts one streaming detector session per connected
@@ -189,38 +148,14 @@ type (
 	// FleetConfig configures a FleetServer: model source, per-session
 	// stream template, session/backpressure/timeout bounds, registry.
 	FleetConfig = fleet.Config
-	// FleetSessionInfo describes one device session in Sessions listings
-	// and the /eddie/fleet debug endpoint.
-	FleetSessionInfo = fleet.SessionInfo
-	// FleetModelSource resolves untrusted workload names to trained
-	// models for fleet sessions.
-	FleetModelSource = fleet.ModelSource
-	// FleetStaticModels serves fleet models from an in-memory map.
-	FleetStaticModels = fleet.StaticModels
 	// FleetDirModels serves fleet models from a directory of files saved
 	// by SaveModel, cached and shared across sessions.
 	FleetDirModels = fleet.DirModels
 	// FleetClient is the reference device client: dial, stream samples,
 	// collect reports.
 	FleetClient = fleet.Client
-	// FleetClientConfig tunes a fleet client's dial and per-frame I/O
-	// timeouts (DialFleetConfig).
-	FleetClientConfig = fleet.ClientConfig
 	// FleetHello opens a fleet session (device name, workload name).
 	FleetHello = fleet.Hello
-	// FleetWelcome acknowledges a fleet hello.
-	FleetWelcome = fleet.Welcome
-	// FleetReport is one anomaly report streamed back to a device.
-	FleetReport = fleet.Report
-	// FleetSummary is a fleet session's final counters.
-	FleetSummary = fleet.Summary
-	// FleetRedirect is a coordinator's answer to a hello: the backend
-	// owning the device (clients follow it transparently).
-	FleetRedirect = fleet.Redirect
-	// FleetLoadReport is a backend's live load (sessions, cap, queue
-	// depth, latency, SLO status), the coordinator's health-probe
-	// payload.
-	FleetLoadReport = fleet.LoadReport
 	// Coordinator fronts N fleet backends and shards devices across
 	// them by consistent hash of device ID (eddie -coord).
 	Coordinator = coord.Coordinator
@@ -308,22 +243,6 @@ func NewDetector(model *Model, c PipelineConfig, mc MonitorConfig) (*Detector, e
 		Monitor: mc,
 	})
 }
-
-// NewStreamDetector creates a streaming detector from a full
-// StreamConfig, exposing the impairment, metrics and ground-truth wiring
-// NewDetector hides.
-func NewStreamDetector(model *Model, c StreamConfig) (*Detector, error) {
-	return stream.NewDetector(model, c)
-}
-
-// NewImpairChain composes impairments, applied in order; nils are
-// skipped.
-func NewImpairChain(ts ...Impairment) Impairment { return impair.NewChain(ts...) }
-
-// ApplyImpairment resets the impairment and runs a whole capture through
-// it, returning a fresh slice (the input is unmodified). A nil
-// impairment copies.
-func ApplyImpairment(t Impairment, signal []float64) []float64 { return impair.Apply(t, signal) }
 
 // NewDetectorMetrics creates a metrics bundle on a fresh registry. Hand
 // it to StreamConfig.Metrics (streaming) or MonitorConfig.Stats
@@ -417,20 +336,9 @@ func DialFleet(addr string, hello FleetHello) (*FleetClient, error) {
 	return fleet.Dial(addr, hello)
 }
 
-// DialFleetConfig is DialFleet with explicit timeout configuration.
-func DialFleetConfig(addr string, hello FleetHello, c FleetClientConfig) (*FleetClient, error) {
-	return fleet.DialConfig(addr, hello, c)
-}
-
 // DefaultFleetMaxSessions is the memory-derived session bound a zero
 // FleetConfig.MaxSessions resolves to on this node.
 func DefaultFleetMaxSessions() int { return fleet.DefaultMaxSessions() }
-
-// ReduceSignal converts a captured (possibly impaired) signal back into
-// the run's labeled STS sequence — the signal-to-STS tail of CollectRun.
-func ReduceSignal(signal []float64, run *Run, c PipelineConfig) ([]STS, error) {
-	return pipeline.Reduce(signal, run.Sim, c)
-}
 
 // HotLoopHeaders profiles the workload and returns, per loop nest, the
 // inner loop header executed most often — the natural in-loop injection

@@ -52,9 +52,7 @@ const adaptRelSpanFloor = 0.005
 //
 // The zero value (Enabled false) is the static paper behavior: the
 // monitor never touches the model and the decision path is bit-identical
-// to a build without this layer. Adaptation requires the default
-// sort-once decision path; under LegacySort (differential testing only)
-// updates are skipped.
+// to a build without this layer.
 type AdaptConfig struct {
 	// Enabled turns the adaptive layer on. Off by default.
 	Enabled bool
@@ -193,7 +191,7 @@ func (m *Monitor) regionModel(id cfg.RegionID) *RegionModel {
 func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 	a := m.adapt
 	a.cleanStreak++
-	if !qualified || a.cleanStreak < a.cfg.MinCleanStreak || m.mcfg.LegacySort {
+	if !qualified || a.cleanStreak < a.cfg.MinCleanStreak {
 		return
 	}
 	ar := a.regions[rm.Region]
@@ -201,9 +199,6 @@ func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 		return
 	}
 	g := m.fillGroups(n)
-	if !g.sorted {
-		return
-	}
 	// Teach only the mode that accepted the group: the other training
 	// modes describe inputs the stream is not currently executing, and
 	// pulling them toward this group would smear distinct modes together.

@@ -32,19 +32,15 @@ type provCapture struct {
 // groupSet is one monitored window group readied for the region decision:
 // ranks[k] holds the rank-k peak frequencies of the group's windows,
 // counts the per-window peak counts and energies the per-window AC
-// energies (either may be empty to skip its bounds test). When sorted is
-// true every slice is sorted ascending — the sort-once representation:
+// energies (either may be empty to skip its bounds test). evalGroups
+// requires every slice sorted ascending — the sort-once representation:
 // each group is sorted exactly once when it is (re)built or slid forward,
 // and then re-tested unchanged against every training mode of every
-// candidate region with the zero-copy presorted K-S kernel. When sorted
-// is false the slices are in window-time order and evalGroups falls back
-// to the original copy-and-sort kernel (the legacy path kept for
-// differential testing).
+// candidate region with the zero-copy presorted K-S kernel.
 type groupSet struct {
 	ranks    [][]float64
 	counts   []float64
 	energies []float64
-	sorted   bool
 }
 
 // reset empties the set's slices, keeping their backing arrays.
@@ -56,14 +52,13 @@ func (g *groupSet) reset() {
 	}
 }
 
-// sortAll sorts every slice ascending and marks the set sorted.
+// sortAll sorts every slice ascending.
 func (g *groupSet) sortAll() {
 	for k := range g.ranks {
 		stats.Sort(g.ranks[k])
 	}
 	stats.Sort(g.counts)
 	stats.Sort(g.energies)
-	g.sorted = true
 }
 
 // evalGroups applies the region decision to one monitored group set: the
@@ -72,39 +67,25 @@ func (g *groupSet) sortAll() {
 // K-S tests accept it (rank rejections <= rejectFraction). modes may be a
 // subset of rm.Modes (leave-one-out during training); startMode rotates
 // the scan order so the monitor can re-test its last good mode first.
-// scratch must have capacity >= the group length; the presorted path only
-// needs it when g is unsorted. prov, when non-nil, captures the best
+// g must be sorted (see groupSet). prov, when non-nil, captures the best
 // mode's per-rank statistics; the rejection decisions are computed from
 // the identical statistic/critical pair, so capture never changes the
-// verdict. Sorted and unsorted group sets produce bit-identical results:
-// the median and the K-S statistic depend only on the multiset.
-func evalGroups(rm *RegionModel, modes []RegionMode, g *groupSet, rejectFraction, cAlpha float64, scratch []float64, startMode int, prov *provCapture) evalResult {
+// verdict.
+func evalGroups(rm *RegionModel, modes []RegionMode, g *groupSet, rejectFraction, cAlpha float64, startMode int, prov *provCapture) evalResult {
 	res := evalResult{rejected: true, bestMode: -1, bestRejFrac: 1}
 	if prov != nil {
 		prov.best = prov.best[:0]
 	}
 	if len(g.counts) > 0 && len(rm.CountRef) > 0 {
 		lo, hi := rm.CountBounds()
-		var med float64
-		if g.sorted {
-			med = stats.MedianSorted(g.counts)
-		} else {
-			med = stats.MedianScratch(g.counts, scratch)
-		}
-		if med < lo || med > hi {
+		if med := stats.MedianSorted(g.counts); med < lo || med > hi {
 			res.countOut = true
 			return res
 		}
 	}
 	if len(g.energies) > 0 && len(rm.EnergyRef) > 0 {
 		lo, hi := rm.EnergyBounds()
-		var med float64
-		if g.sorted {
-			med = stats.MedianSorted(g.energies)
-		} else {
-			med = stats.MedianScratch(g.energies, scratch)
-		}
-		if med < lo || med > hi {
+		if med := stats.MedianSorted(g.energies); med < lo || med > hi {
 			res.countOut = true
 			return res
 		}
@@ -129,19 +110,12 @@ func evalGroups(rm *RegionModel, modes []RegionMode, g *groupSet, rejectFraction
 		}
 		for k := 0; k < ranks && k < len(mode.Ref); k++ {
 			var rejected bool
-			switch {
-			case prov != nil && g.sorted:
+			if prov != nil {
 				d, crit := stats.KSRejectStatPresorted(mode.Ref[k], g.ranks[k], cAlpha)
 				rejected = d > crit
 				prov.tmp = append(prov.tmp, obs.RankKS{Rank: k, Stat: d, Crit: crit, Rejected: rejected})
-			case prov != nil:
-				d, crit := stats.KSRejectStatSorted(mode.Ref[k], g.ranks[k], scratch, cAlpha)
-				rejected = d > crit
-				prov.tmp = append(prov.tmp, obs.RankKS{Rank: k, Stat: d, Crit: crit, Rejected: rejected})
-			case g.sorted:
+			} else {
 				rejected = stats.KSRejectPresorted(mode.Ref[k], g.ranks[k], cAlpha)
-			default:
-				rejected = stats.KSRejectSorted(mode.Ref[k], g.ranks[k], scratch, cAlpha)
 			}
 			if rejected {
 				rej++

@@ -41,37 +41,20 @@ func benchEvalSetup(b *testing.B, n int) (*RegionModel, *groupSet, float64) {
 
 // BenchmarkEvalGroups measures one full multi-mode region decision on an
 // anomalous group of 96 windows (the largest candidate in the default
-// group-size grid). The legacy variant copy-and-sorts the
-// group inside every K-S call (16 modes x 5 ranks per op); the presorted
-// variant pays one up-front sort per group (amortized across every
+// group-size grid): 16 modes x 5 ranks of the zero-copy presorted merge
+// kernel per op. The group's one up-front sort is amortized across every
 // re-test by the monitor's fill-slot cache, so it is excluded here the
-// same way it is amortized in production) and runs the zero-copy merge
-// kernel.
+// same way it is amortized in production.
 func BenchmarkEvalGroups(b *testing.B) {
 	const n = 96
-	b.Run("legacy", func(b *testing.B) {
-		rm, g, cAlpha := benchEvalSetup(b, n)
-		scratch := make([]float64, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res := evalGroups(rm, rm.Modes, g, 0.2, cAlpha, scratch, 0, nil)
-			if !res.rejected {
-				b.Fatal("anomalous group accepted")
-			}
+	rm, g, cAlpha := benchEvalSetup(b, n)
+	g.sortAll()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := evalGroups(rm, rm.Modes, g, 0.2, cAlpha, 0, nil)
+		if !res.rejected {
+			b.Fatal("anomalous group accepted")
 		}
-	})
-	b.Run("presorted", func(b *testing.B) {
-		rm, g, cAlpha := benchEvalSetup(b, n)
-		g.sortAll()
-		scratch := make([]float64, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res := evalGroups(rm, rm.Modes, g, 0.2, cAlpha, scratch, 0, nil)
-			if !res.rejected {
-				b.Fatal("anomalous group accepted")
-			}
-		}
-	})
+	}
 }

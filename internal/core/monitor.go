@@ -42,16 +42,6 @@ type MonitorConfig struct {
 	// burst detection responsive; its occasional false rejections are
 	// absorbed by ReportThreshold. Zero means 12; negative disables it.
 	BurstWindows int
-	// LegacySort forces the pre-sort-once decision path: the monitored
-	// group is rebuilt in window-time order for every evaluation and
-	// every K-S test copies it into scratch and sorts it there. The
-	// default (false) path sorts each group once when it is built —
-	// incrementally when the window slides by one hop — and feeds the
-	// zero-copy presorted kernel. Both paths compute the identical
-	// statistics from the identical multisets, so verdicts, outcomes and
-	// provenance are bit-identical; the differential tests prove it.
-	// Production leaves this false.
-	LegacySort bool
 	// Adapt configures the drift-adaptive reference layer (see
 	// AdaptConfig). The zero value disables it, leaving the decision path
 	// bit-identical to the static monitor.
@@ -140,7 +130,6 @@ type Monitor struct {
 	alarm      bool
 	lastSwitch int // value of seen when the monitor entered cur
 
-	scratchA []float64
 	// slots cache sorted group sets keyed by group size: a probe of R
 	// candidate regions at the same effective n reuses one sorted fill,
 	// and consecutive windows at the same n slide the sorted groups
@@ -148,9 +137,6 @@ type Monitor struct {
 	// slots cover the steady-state fill sizes (trained n, burst horizon,
 	// probe size).
 	slots [3]fillSlot
-	// legacy is the unsorted window-time-order group set used when
-	// MonitorConfig.LegacySort is set (differential testing only).
-	legacy groupSet
 	// energyRing buffers each window's AC energy alongside ring.
 	energyRing []float64
 	lastMode   map[cfg.RegionID]int
@@ -224,19 +210,13 @@ func NewMonitor(model *Model, mcfg MonitorConfig) (*Monitor, error) {
 		cAlpha:     stats.KolmogorovInverse(1 - model.Alpha),
 		ringCap:    ringCap,
 		ring:       make([][]float64, 0, ringCap),
-		scratchA:   make([]float64, ringCap),
 		energyRing: make([]float64, ringCap),
 		lastMode:   map[cfg.RegionID]int{},
 		cur:        startRegion(model),
 		track:      mcfg.Trace.Track("monitor"),
 	}
-	if mcfg.LegacySort {
-		m.legacy = newGroupSet(maxRanks, ringCap)
-	} else {
-		for i := range m.slots {
-			m.slots[i].g = newGroupSet(maxRanks, ringCap)
-			m.slots[i].g.sorted = true
-		}
+	for i := range m.slots {
+		m.slots[i].g = newGroupSet(maxRanks, ringCap)
 	}
 	if mcfg.Adapt.Enabled {
 		a, err := newAdaptState(mcfg.Adapt)
@@ -617,20 +597,16 @@ func (m *Monitor) switchTo(id cfg.RegionID) {
 	m.lastSwitch = m.seen
 }
 
-// fillGroups returns the group set of the last n observed windows. On
-// the default path the returned set is sorted ascending per slice and
-// served from the slot cache: a request matching a slot's (n, seen)
-// costs nothing (every candidate region probed at the same n this window
-// shares one fill), a request one window ahead at the same n slides the
-// sorted groups incrementally (O(n) instead of O(n log n) re-sorts per
-// rank), and only a cache miss rebuilds and re-sorts from the ring.
+// fillGroups returns the group set of the last n observed windows,
+// sorted ascending per slice and served from the slot cache: a request
+// matching a slot's (n, seen) costs nothing (every candidate region
+// probed at the same n this window shares one fill), a request one
+// window ahead at the same n slides the sorted groups incrementally
+// (O(n) instead of O(n log n) re-sorts per rank), and only a cache miss
+// rebuilds and re-sorts from the ring.
 // The group's content depends only on (n, seen) — never on the region
 // under test — which is what makes the cache sound.
 func (m *Monitor) fillGroups(n int) *groupSet {
-	if m.mcfg.LegacySort {
-		m.fillInto(&m.legacy, n)
-		return &m.legacy
-	}
 	var slot *fillSlot
 	for i := range m.slots {
 		if m.slots[i].n == n {
@@ -728,7 +704,7 @@ func (m *Monitor) evalRegion(rm *RegionModel, n int, rec *obs.WindowRecord) eval
 	if rec != nil {
 		pc = &m.prov
 	}
-	res := evalGroups(rm, rm.Modes, g, m.mcfg.RejectFraction, m.cAlpha, m.scratchA, start, pc)
+	res := evalGroups(rm, rm.Modes, g, m.mcfg.RejectFraction, m.cAlpha, start, pc)
 	if !res.rejected && res.bestMode >= 0 {
 		m.lastMode[rm.Region] = res.bestMode
 	}

@@ -34,34 +34,13 @@ func synthBenchModel(b *testing.B) (*core.Model, []core.STS, []core.STS) {
 // worst case: every monitored group is 5% off all 16 training modes, so
 // each window drives the full rejection machinery — mode scan, burst
 // test, successor probes and the global scan over all regions. The same
-// group is re-tested dozens of times per window; the presorted kernel
-// sorts it once per fill slot while the legacy path re-sorts inside
-// every K-S call.
+// group is re-tested dozens of times per window against a group sorted
+// once per fill slot.
 func BenchmarkObserveMultiMode(b *testing.B) {
 	model, _, anomalous := synthBenchModel(b)
-	for _, legacy := range []bool{false, true} {
-		name := "presorted"
-		if legacy {
-			name = "legacy"
-		}
-		b.Run(name, func(b *testing.B) {
-			mcfg := core.DefaultMonitorConfig()
-			mcfg.GroupSizeScale = 8 // n=96: the paper's largest group size
-			mcfg.LegacySort = legacy
-			mon, err := core.NewMonitor(model, mcfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := range anomalous {
-				mon.Observe(&anomalous[i])
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mon.Observe(&anomalous[i%len(anomalous)])
-			}
-		})
-	}
+	mcfg := core.DefaultMonitorConfig()
+	mcfg.GroupSizeScale = 8 // n=96: the paper's largest group size
+	benchObserve(b, model, mcfg, anomalous)
 }
 
 // BenchmarkObserveClean is the steady accept path the fleet server lives
@@ -69,27 +48,23 @@ func BenchmarkObserveMultiMode(b *testing.B) {
 // accepts.
 func BenchmarkObserveClean(b *testing.B) {
 	model, clean, _ := synthBenchModel(b)
-	for _, legacy := range []bool{false, true} {
-		name := "presorted"
-		if legacy {
-			name = "legacy"
-		}
-		b.Run(name, func(b *testing.B) {
-			mcfg := core.DefaultMonitorConfig()
-			mcfg.LegacySort = legacy
-			mon, err := core.NewMonitor(model, mcfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := range clean {
-				mon.Observe(&clean[i])
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mon.Observe(&clean[i%len(clean)])
-			}
-		})
+	benchObserve(b, model, core.DefaultMonitorConfig(), clean)
+}
+
+// benchObserve warms a monitor over one pass of stream, then times
+// Observe cycling through it.
+func benchObserve(b *testing.B, model *core.Model, mcfg core.MonitorConfig, stream []core.STS) {
+	mon, err := core.NewMonitor(model, mcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range stream {
+		mon.Observe(&stream[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mon.Observe(&stream[i%len(stream)])
 	}
 }
 

@@ -55,12 +55,6 @@ type TrainConfig struct {
 	// count produces the byte-identical Model: regions are independent
 	// and results are assembled in region-id order.
 	Workers int
-	// LegacySort forces the pre-sort-once evaluation inside the
-	// group-size sweep (each candidate group rebuilt unsorted, each K-S
-	// test copying and sorting it). Differential tests use it to prove
-	// the presorted sweep picks the identical group sizes; production
-	// leaves it false.
-	LegacySort bool
 }
 
 // DefaultTrainConfig returns the paper-equivalent training configuration.
@@ -383,7 +377,6 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, tc TrainConfig, cAlpha f
 	}
 	var cands []cand
 	maxN := maxInts(sizes) + capN
-	scratch := make([]float64, maxN)
 	g := newGroupSet(rm.NumPeaks, maxN)
 	// Leave-one-out mode sets, cached per run.
 	looCache := map[int][]RegionMode{}
@@ -420,7 +413,6 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, tc TrainConfig, cAlpha f
 			for start := 0; start+n <= len(seq.sts); start += stride {
 				tested++
 				g.reset()
-				g.sorted = false
 				for i := start; i < start+n; i++ {
 					g.counts = append(g.counts, float64(len(seq.sts[i].PeakFreqs)))
 					g.energies = append(g.energies, seq.sts[i].Energy)
@@ -428,16 +420,14 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, tc TrainConfig, cAlpha f
 						g.ranks[k] = append(g.ranks[k], seq.sts[i].PeakAt(k))
 					}
 				}
-				if !tc.LegacySort {
-					// Sort each candidate group once here instead of once
-					// per training mode inside the K-S tests — the same
-					// sort-once kernel the monitor uses.
-					g.sortAll()
-				}
+				// Sort each candidate group once here instead of once per
+				// training mode inside the K-S tests — the same sort-once
+				// kernel the monitor uses.
+				g.sortAll()
 				// Same decision rule as the monitor, against the modes of
 				// the *other* runs (leave-one-out), so the sweep measures
 				// generalization rather than self-match.
-				res := evalGroups(rm, modes, &g, tc.RejectFraction, cAlpha, scratch, 0, nil)
+				res := evalGroups(rm, modes, &g, tc.RejectFraction, cAlpha, 0, nil)
 				if res.rejected {
 					rejected++
 				}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"eddie/internal/stats"
@@ -36,53 +35,5 @@ func TestSelectGroupSizeEmptySeqs(t *testing.T) {
 	}
 	if got2 := selectGroupSize(rm, []taggedSeq{}, tc, cAlpha); got2 != want {
 		t.Errorf("selectGroupSize with zero-length seqs = %d, want %d", got2, want)
-	}
-}
-
-// TestTrainWorkerCountDeterministic pins the parallel-training contract:
-// every worker count builds the byte-identical model. Regions are
-// independent, results land in index-addressed slots, and assembly is in
-// region-id order, so only scheduling varies.
-func TestTrainWorkerCountDeterministic(t *testing.T) {
-	m := testMachine(t)
-	runs := synthTrainingRuns(m, 8, 100e3, 250e3)
-	tc := DefaultTrainConfig()
-	tc.Workers = 1
-	base, err := Train("synthetic", m, runs, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8, 0} {
-		tc.Workers = workers
-		model, err := Train("synthetic", m, runs, tc)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(base, model) {
-			t.Errorf("workers=%d: model differs from serial build", workers)
-		}
-	}
-}
-
-// TestTrainLegacySortIdentical proves the presorted group-size sweep
-// picks the identical model as the copy-and-sort sweep it replaced.
-func TestTrainLegacySortIdentical(t *testing.T) {
-	m := testMachine(t)
-	runs := synthTrainingRuns(m, 8, 100e3, 250e3)
-	tc := DefaultTrainConfig()
-	tc.LegacySort = true
-	tc.Workers = 1
-	legacy, err := Train("synthetic", m, runs, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.LegacySort = false
-	tc.Workers = 0
-	presorted, err := Train("synthetic", m, runs, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, presorted) {
-		t.Error("presorted training differs from the legacy copy-and-sort path")
 	}
 }

@@ -59,20 +59,6 @@ func BenchmarkObserveDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkObserveLegacy runs the same real-fixture stream through the
-// pre-optimization copy-and-sort decision path (kept for differential
-// testing) — the before side of BenchmarkObserveDisabled.
-func BenchmarkObserveLegacy(b *testing.B) {
-	mcfg := core.DefaultMonitorConfig()
-	mcfg.LegacySort = true
-	mon, sts := monitorFeed(b, mcfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mon.Observe(&sts[i%len(sts)])
-	}
-}
-
 func BenchmarkObserveFlight(b *testing.B) {
 	mcfg := core.DefaultMonitorConfig()
 	mcfg.Flight = obs.NewFlightRecorder(0)

@@ -38,11 +38,6 @@ type Config struct {
 	// each shard drains a session's whole frame inbox per scheduling
 	// turn. Zero means par.Parallelism().
 	Shards int
-	// GoroutinePerSession restores the legacy architecture: every
-	// session gets a private processor goroutine instead of a slot in
-	// the shard pool. It exists as the A/B baseline for the fleet
-	// benchmark (cmd/eddie-bench -fleet-bench).
-	GoroutinePerSession bool
 	// IdleTimeout is the per-frame read deadline: a session that sends
 	// nothing for this long is torn down. Zero means 30s.
 	IdleTimeout time.Duration
@@ -134,8 +129,8 @@ type Server struct {
 	cAdapt      *metrics.Counter // adaptive reference updates across sessions
 	hSessionWin *metrics.Histogram
 
-	// shards is the shared processor pool (empty in GoroutinePerSession
-	// mode); arenas interns per-workload model state across sessions.
+	// shards is the shared processor pool; arenas interns per-workload
+	// model state across sessions.
 	shards    []*shard
 	shardStop sync.Once
 	obsStop   sync.Once // journal sync + alarm-stream close at shutdown
@@ -182,11 +177,9 @@ func NewServer(cfg Config) (*Server, error) {
 	s.cAdapt = s.reg.Counter("fleet_adapt_updates")
 	s.hSessionWin = s.reg.Histogram("fleet_session_windows",
 		[]float64{16, 64, 256, 1024, 4096, 16384, 65536})
-	if !cfg.GoroutinePerSession {
-		s.shards = make([]*shard, cfg.Shards)
-		for i := range s.shards {
-			s.shards[i] = newShard(s, i, shardLabel(i))
-		}
+	s.shards = make([]*shard, cfg.Shards)
+	for i := range s.shards {
+		s.shards[i] = newShard(s, i, shardLabel(i))
 	}
 	return s, nil
 }

@@ -118,31 +118,24 @@ func feedDirect(t *testing.T, f *pipetest.F, samples []float64) (*stream.Detecto
 // are bit-identical to a direct stream.Detector fed the same samples:
 // same report count, same window indices, same float64 timestamps (JSON
 // round-trips float64 exactly, so == is the right comparison). The
-// differential runs at several shard counts and in the legacy
-// goroutine-per-session mode: batching and scheduling must never change
-// a verdict.
+// differential runs at several shard counts: batching and scheduling
+// must never change a verdict.
 func TestFleetDifferentialVsDirect(t *testing.T) {
 	f, sig := fleetSignal(t)
 	det, directReports := feedDirect(t, f, sig)
 
-	variants := []struct {
+	type variant struct {
 		name   string
-		mutate func(*Config)
-	}{
-		{"shards=1", func(c *Config) { c.Shards = 1 }},
-		{"shards=4", func(c *Config) { c.Shards = 4 }},
-		{"goroutine-per-session", func(c *Config) { c.GoroutinePerSession = true }},
+		shards int
 	}
+	variants := []variant{{"shards=1", 1}, {"shards=4", 4}}
 	if n := runtime.GOMAXPROCS(0); n != 1 && n != 4 {
-		variants = append(variants, struct {
-			name   string
-			mutate func(*Config)
-		}{fmt.Sprintf("shards=gomaxprocs-%d", n), func(c *Config) { c.Shards = n }})
+		variants = append(variants, variant{fmt.Sprintf("shards=gomaxprocs-%d", n), n})
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := serverConfig(f)
-			v.mutate(&cfg)
+			cfg.Shards = v.shards
 			testFleetDifferential(t, f, sig, cfg, det, directReports)
 		})
 	}

@@ -33,8 +33,9 @@ type session struct {
 	conn net.Conn
 	br   *bufio.Reader
 
-	// Set during the handshake, read-only afterwards (sh/privateShard
-	// are written under mu because close() may race the handshake).
+	// Set during the handshake, read-only afterwards (device, workload
+	// and sh are written under mu because listings and close() may race
+	// the handshake).
 	device   string
 	workload string
 	det      *stream.Detector
@@ -56,13 +57,12 @@ type session struct {
 	// reason as control: finish may run on a shard goroutine.
 	slot atomic.Bool
 
-	mu           sync.Mutex
-	cond         *sync.Cond // wakes a reader stalled on the pending cap
-	sh           *shard
-	privateShard bool
-	inbox        fifo[[]float64]
-	pool         samplePool
-	pending      int // samples sitting in the inbox
+	mu      sync.Mutex
+	cond    *sync.Cond // wakes a reader stalled on the pending cap
+	sh      *shard
+	inbox   fifo[[]float64]
+	pool    samplePool
+	pending int // samples sitting in the inbox
 	// firstPending is when the oldest frame of the current inbox batch
 	// was enqueued — the start of its frame-to-verdict latency, measured
 	// when the turn that drains it completes.
@@ -121,12 +121,13 @@ func (ss *session) info() SessionInfo {
 	ss.mu.Lock()
 	active := !ss.closed && !ss.finalized
 	queueDepth := ss.pending
+	device, workload := ss.device, ss.workload
 	ss.mu.Unlock()
 	info := SessionInfo{
 		QueueDepth: queueDepth,
 		Session:    ss.id,
-		Device:     ss.device,
-		Workload:   ss.workload,
+		Device:     device,
+		Workload:   workload,
 		Remote:     ss.remote,
 		StartedAt:  ss.started.UTC().Format(time.RFC3339Nano),
 		Active:     active,
@@ -265,8 +266,10 @@ func (ss *session) handshake() bool {
 		return false
 	}
 	ss.det = det
+	ss.mu.Lock()
 	ss.device = hello.Device
 	ss.workload = hello.Workload
+	ss.mu.Unlock()
 	// Every alarm this session's recorder takes is published the moment
 	// it fires: journaled durably and fanned out to SSE subscribers.
 	ss.flight.SetOnAlarm(ss.publishAlarm)
@@ -281,10 +284,9 @@ func (ss *session) handshake() bool {
 		ss.nextAdaptJournal = 1
 	}
 
-	sh, private := ss.s.shardFor(ss.device)
+	sh := ss.s.shardFor(ss.device)
 	ss.mu.Lock()
 	ss.sh = sh
-	ss.privateShard = private
 	ss.mu.Unlock()
 
 	welcome := Welcome{
@@ -686,8 +688,8 @@ func (ss *session) publishAlarmEvent(ev *obs.JournalEvent) {
 
 // finalize reaches the session's terminal state exactly once: send the
 // final frame (summary after a clean bye, error otherwise) unless the
-// session was force-closed, tear down the connection, stop a private
-// shard, and unregister from the server.
+// session was force-closed, tear down the connection, and unregister
+// from the server.
 func (ss *session) finalize(sendFinal bool) {
 	ss.mu.Lock()
 	if ss.finalized {
@@ -698,7 +700,6 @@ func (ss *session) finalize(sendFinal bool) {
 	wasClosed := ss.closed
 	sawBye := ss.sawBye
 	finalMsg := ss.finalMsg
-	sh, private := ss.sh, ss.privateShard
 	ss.closed = true
 	ss.stopRead = true
 	ss.cond.Broadcast()
@@ -727,9 +728,6 @@ func (ss *session) finalize(sendFinal bool) {
 	}
 	if ss.conn != nil {
 		ss.conn.Close()
-	}
-	if sh != nil && private {
-		sh.stop()
 	}
 	ss.s.finish(ss)
 }

@@ -38,9 +38,7 @@ type shard struct {
 }
 
 // newShard creates a shard and starts its processor goroutine. label
-// names the shard's instruments in the registry; private per-session
-// shards (GoroutinePerSession mode) share one label so the registry
-// does not grow with session count.
+// names the shard's instruments in the registry.
 func newShard(srv *Server, id int, label string) *shard {
 	sh := &shard{srv: srv, id: id, label: label, done: make(chan struct{})}
 	sh.cond = sync.NewCond(&sh.mu)
@@ -119,14 +117,10 @@ func shardIndex(device string, n int) int {
 	return int(h % uint32(n))
 }
 
-// shardFor picks the session's shard: a hashed slot of the shared pool,
-// or a fresh private shard in GoroutinePerSession mode (the benchmark
-// baseline, one processor goroutine per connection).
-func (s *Server) shardFor(device string) (sh *shard, private bool) {
-	if s.cfg.GoroutinePerSession {
-		return newShard(s, -1, "private"), true
-	}
-	return s.shards[shardIndex(device, len(s.shards))], false
+// shardFor picks the session's shard: the device's hashed slot of the
+// shared pool.
+func (s *Server) shardFor(device string) *shard {
+	return s.shards[shardIndex(device, len(s.shards))]
 }
 
 // stopShards stops the shared shard pool; idempotent.

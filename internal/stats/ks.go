@@ -55,9 +55,10 @@ func KSTest(ref, mon []float64, alpha float64) (KSResult, error) {
 	}, nil
 }
 
-// KSRejectSorted is the allocation-light K-S path used by EDDIE's hot
-// loops: refSorted must already be sorted ascending; mon is copied into
-// scratch (which must have len >= len(mon)) and sorted there. cAlpha is
+// KSRejectSorted is the allocation-light copy-and-sort K-S test:
+// refSorted must already be sorted ascending; mon is copied into scratch
+// (which must have len >= len(mon)) and sorted there. It is the
+// reference the presorted kernel is tested against. cAlpha is
 // KolmogorovInverse(1-alpha), computed once by the caller. It reports
 // whether H0 (same population) is rejected.
 func KSRejectSorted(refSorted, mon, scratch []float64, cAlpha float64) bool {
@@ -96,7 +97,7 @@ func KSRejectPresorted(refSorted, monSorted []float64, cAlpha float64) bool {
 // KSRejectStatSorted, and sorting is a pure permutation, so for equal
 // multisets the (d, crit) pair — and therefore every verdict and every
 // recorded provenance statistic — is bit-identical to the copy-and-sort
-// path it replaces.
+// reference.
 func KSRejectStatPresorted(refSorted, monSorted []float64, cAlpha float64) (d, crit float64) {
 	d = ksStatSorted(refSorted, monSorted)
 	m := float64(len(refSorted))
