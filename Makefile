@@ -139,11 +139,12 @@ bench-obs:
 
 # Per-package coverage over the short suite; fails if the hardened
 # packages (internal/stream, internal/impair, internal/obs,
-# internal/fleet, and internal/dsp with its linalg/denoise kernels)
-# drop below 80%.
+# internal/fleet, internal/dsp with its linalg/denoise kernels, and
+# internal/core with the STS front end and the decision kernel) drop
+# below 80%.
 cover:
 	go test -short -cover ./... | tee /tmp/eddie-cover.txt
-	@awk '/eddie\/internal\/(dsp|stream|impair|obs|fleet)\t/ { \
+	@awk '/eddie\/internal\/(core|dsp|stream|impair|obs|fleet)\t/ { \
 	    for (i = 1; i <= NF; i++) if ($$i ~ /%/) { pct = $$i; sub(/%.*/, "", pct); \
 	        if (pct + 0 < 80) { printf "FAIL: %s coverage %s%% < 80%%\n", $$2, pct; bad = 1 } \
 	        else printf "ok:   %s coverage %s%%\n", $$2, pct } } \

@@ -69,7 +69,7 @@ func main() {
 			if end > len(signal) {
 				end = len(signal)
 			}
-			for _, r := range detector.Write(signal[off:end]) {
+			for _, r := range detector.Feed(signal[off:end]) {
 				alerts++
 				fmt.Printf("    ALERT %d at t=%.2f ms (window %d)\n",
 					alerts, r.TimeSec*1e3, r.Window)

@@ -5,8 +5,6 @@
 package core
 
 import (
-	"sort"
-
 	"eddie/internal/cfg"
 	"eddie/internal/dsp"
 	"eddie/internal/trace"
@@ -51,32 +49,17 @@ func (s *STS) PeakAt(k int) float64 {
 
 // ExtractSTS converts labeled STFT frames into the STS sequence of one
 // run. stftCfg must match the frames; peakCfg controls peak extraction
-// (DefaultPeakConfig matches the paper's 1%-of-energy rule).
+// (DefaultPeakConfig matches the paper's 1%-of-energy rule). It runs the
+// front end's power→STS step on each frame, so it equals Frontend.Capture
+// over the frames' samples; every STS owns a fresh, non-nil PeakFreqs.
 func ExtractSTS(frames []trace.LabeledFrame, stftCfg dsp.STFTConfig, peakCfg dsp.PeakConfig) []STS {
 	out := make([]STS, 0, len(frames))
+	step := powerStep(stftCfg, peakCfg)
 	for i := range frames {
 		f := &frames[i]
-		peaks := dsp.FindPeaks(&f.Frame, peakCfg, stftCfg.BinFrequency)
-		freqs := make([]float64, len(peaks))
-		for k, p := range peaks {
-			freqs[k] = dsp.InterpolatePeakFrequency(&f.Frame, p.Bin, stftCfg.SampleRate/float64(stftCfg.WindowSize))
-		}
-		sort.Float64s(freqs)
-		minBin := peakCfg.MinBin
-		if minBin < 1 {
-			minBin = 1
-		}
-		var energy float64
-		for b := minBin; b < len(f.Frame.Power); b++ {
-			energy += f.Frame.Power[b]
-		}
-		out = append(out, STS{
-			PeakFreqs: freqs,
-			Energy:    energy,
-			Region:    f.Region,
-			Injected:  f.Injected,
-			TimeSec:   f.TimeSec,
-		})
+		s := step.fromPower(f.Frame.Power).owned()
+		s.Region, s.Injected, s.TimeSec = f.Region, f.Injected, f.TimeSec
+		out = append(out, s)
 	}
 	return out
 }

@@ -313,9 +313,11 @@ func TestFleetListingActivityAndDepth(t *testing.T) {
 		}
 	}
 	// Wait until the frames have been processed so activity is recorded.
+	// A turn counts its samples while feeding and records its verdict
+	// latency only after the batch is decided, so wait for both.
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.Registry().Counter("fleet_device_samples/dev-list").Value() >= 16*1024 {
+		if s.Registry().Counter("fleet_device_samples/dev-list").Value() >= 16*1024 && len(s.shardLatency()) > 0 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

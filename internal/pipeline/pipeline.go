@@ -1,5 +1,5 @@
 // Package pipeline wires the full EDDIE stack together: workload →
-// cycle-level simulation → (optional) EM channel → STFT → STS extraction →
+// cycle-level simulation → (optional) EM channel → STS front end →
 // training/monitoring. The experiment harnesses, the CLI tools and the
 // examples all build on it.
 package pipeline
@@ -30,11 +30,11 @@ type Config struct {
 	STFT dsp.STFTConfig
 	// Peaks controls spectral peak extraction.
 	Peaks dsp.PeakConfig
-	// Denoise configures the optional SVD subspace denoising stage
-	// applied to each power spectrum between the STFT and STS extraction.
-	// The zero value disables it. The streaming detector applies the same
-	// stage at the same point in the same order, so offline and streamed
-	// reductions of one capture stay bit-identical with denoising on.
+	// Denoise configures the optional SVD subspace denoising stage of the
+	// front end (core.Frontend), applied to each power spectrum between
+	// the STFT and peak extraction. The zero value disables it. Training
+	// and monitoring run the one front end, so the stage is identical in
+	// both.
 	Denoise dsp.DenoiseConfig
 	// Channel, when non-nil, passes the power trace through the EM
 	// channel + receiver (the "real IoT device" mode of Table 1). Nil
@@ -43,8 +43,10 @@ type Config struct {
 	// MaxInstrs bounds each run.
 	MaxInstrs int64
 	// Trace, when non-nil, records a span per pipeline stage (simulate →
-	// EM channel → detrend → STFT → peak extraction) on a per-run track,
-	// exportable as Chrome trace-event JSON. Nil costs nothing.
+	// em_channel → detrend → reduce) on a per-run track, exportable as
+	// Chrome trace-event JSON. The reduce span covers the whole front-end
+	// walk; per-window spans are the streaming detector's. Nil costs
+	// nothing.
 	Trace *obs.Recorder
 }
 
@@ -157,7 +159,8 @@ func CollectRun(w *mibench.Workload, machine *cfg.Machine, c Config, runIdx int,
 }
 
 // Reduce converts a captured signal into the labeled STS sequence of its
-// run: AC coupling, STFT, ground-truth labeling, peak extraction. It is
+// run: AC coupling, then the shared front end (STFT, optional denoising,
+// peak extraction) and ground-truth labeling window by window. It is
 // the signal-to-STS tail of CollectRun, split out so a capture can be
 // re-reduced after signal-level processing — the robustness experiments
 // impair one collected signal at many severities without re-simulating.
@@ -170,34 +173,25 @@ func Reduce(signal []float64, res *sim.RunResult, c Config) ([]core.STS, error) 
 }
 
 // reduce is Reduce on an explicit trace track (CollectRun reuses its
-// per-run track).
+// per-run track). The capture is detrended once, walked hop by hop
+// through the same core.Frontend the streaming detector runs, and each
+// window labelled by its start sample. Per-window spans stay off the
+// run track: one "reduce" span covers the walk.
 func reduce(signal []float64, res *sim.RunResult, c Config, tk obs.Track) ([]core.STS, error) {
 	sp := tk.Start("detrend")
 	detrended := dsp.Detrend(signal)
 	sp.End()
-	sp = tk.Start("stft")
-	frames, err := dsp.STFT(detrended, c.STFT)
-	sp.End()
+	sp = tk.Start("reduce")
+	defer sp.End()
+	fe, err := core.NewFrontend(c.STFT, c.Peaks, c.Denoise)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: STFT: %w", err)
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	if c.Denoise.Enabled() {
-		sp = tk.Start("denoise")
-		dn, err := dsp.NewDenoiser(c.Denoise, c.STFT.WindowSize/2+1)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
-		}
-		// Push frames in stream order: the denoiser is causal, so this
-		// produces the exact spectra the streaming detector would see.
-		for i := range frames {
-			dn.Push(frames[i].Power)
-		}
-		sp.End()
+	sts := fe.Capture(detrended)
+	lb := trace.NewLabeler(c.STFT, res)
+	for i := range sts {
+		sts[i].Region, sts[i].Injected = lb.Label(i * c.STFT.HopSize)
 	}
-	sp = tk.Start("extract_sts")
-	labeled := trace.LabelFrames(frames, c.STFT, res)
-	sts := core.ExtractSTS(labeled, c.STFT, c.Peaks)
-	sp.End()
 	return sts, nil
 }
 

@@ -1,18 +1,21 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
 	"eddie/internal/cfg"
 	"eddie/internal/core"
 	"eddie/internal/inject"
 	"eddie/internal/mibench"
+	"eddie/internal/obs"
 )
 
 // TestSpectraCarryRegionStructure is the load-bearing integration check:
 // loop regions must yield STFT windows with spectral peaks, and different
 // regions must be spectrally distinguishable — the physical premise EDDIE
-// rests on.
+// rests on. The run is traced: its track must carry one span per
+// pipeline stage and no per-window spans.
 func TestSpectraCarryRegionStructure(t *testing.T) {
 	w := mibench.Bitcount()
 	machine, err := cfg.BuildMachine(w.Program)
@@ -20,9 +23,13 @@ func TestSpectraCarryRegionStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := SimulatorConfig()
+	c.Trace = obs.NewRecorder()
 	run, err := CollectRun(w, machine, c, 0, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := runTrackSpans(t, c.Trace), []string{"simulate", "detrend", "reduce"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("run track spans %q, want %q", got, want)
 	}
 	if len(run.STS) < 50 {
 		t.Fatalf("only %d windows; run too short", len(run.STS))

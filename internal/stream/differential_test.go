@@ -1,38 +1,37 @@
 package stream
 
 import (
+	"reflect"
 	"testing"
 
 	"eddie/internal/core"
 	"eddie/internal/dsp"
 	"eddie/internal/inject"
+	"eddie/internal/obs"
 	"eddie/internal/pipeline"
 	"eddie/internal/pipeline/pipetest"
 )
 
 // TestDifferentialOfflineVsStream feeds the same collected run through
 // the offline pipeline reduction and sample by sample through the
-// streaming detector, and asserts the two paths agree bit for bit: same
-// STS sequence (peak frequencies, energy, timestamps) and same monitor
-// verdicts (per-window outcomes and reports).
+// streaming detector, and asserts the two agree bit for bit in one pass:
+// the same number of windows, the same STS sequence (peak frequencies,
+// energies, timestamps), the same monitor verdicts (per-window outcomes
+// and reports) and the same decision provenance (every flight-recorder
+// record and the last alarm dump).
 //
-// To make the comparison exact the stream runs with its DC blocker
-// disabled on the pre-detrended signal — the detector's EWMA DC blocker
-// is the one intentional difference from the offline global-mean
-// detrend. Everything downstream (windowing, planned real-input FFT,
-// peak extraction, K-S monitoring) is shared arithmetic, so any drift
-// here is a real regression in one of the paths.
+// Both paths reduce windows through one core.Frontend; what this pins is
+// everything around it: the stream's hop buffering against the offline
+// hop-by-hop walk, chunking, timestamps, the causal denoiser's order,
+// and the monitor fed by each. The stream runs with its DC blocker
+// disabled on the pre-detrended signal — the EWMA DC blocker is the one
+// intentional difference from the offline global-mean detrend.
 func TestDifferentialOfflineVsStream(t *testing.T) {
 	f := pipetest.Fixture(t)
 	injector := &inject.InLoop{
 		Header: f.Machine.Nests[0].Header, Instrs: 8, MemOps: 4,
 		Contamination: 0.5, Seed: 3,
 	}
-	// The denoised variants reuse the clean/injected captures but
-	// re-reduce them with the subspace stage enabled: both paths must
-	// still agree bit for bit, because offline reduce and the stream push
-	// identical power spectra through one causal Denoiser in the same
-	// order.
 	denoise := dsp.DenoiseConfig{Rank: 5, Block: 16, Stride: 4, Seed: 11}
 	for _, tc := range []struct {
 		name    string
@@ -49,7 +48,6 @@ func TestDifferentialOfflineVsStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			detrended := dsp.Detrend(run.Signal)
 			pcfg := f.Config
 			pcfg.Denoise = tc.denoise
 
@@ -59,7 +57,11 @@ func TestDifferentialOfflineVsStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			offMon, err := pipeline.Monitor(f.Model, offSTS, core.DefaultMonitorConfig())
+			depth := len(offSTS) + 1 // keep every record
+			offFlight := obs.NewFlightRecorder(depth)
+			mc := core.DefaultMonitorConfig()
+			mc.Flight = offFlight
+			offMon, err := pipeline.Monitor(f.Model, offSTS, mc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,8 +70,10 @@ func TestDifferentialOfflineVsStream(t *testing.T) {
 			// captures the produced STS sequence (copying the reused
 			// PeakFreqs slice).
 			var strSTS []core.STS
+			strFlight := obs.NewFlightRecorder(depth)
 			cfg := streamCfg(pcfg)
 			cfg.DisableDCBlock = true
+			cfg.Flight = strFlight
 			cfg.Tap = func(sts *core.STS) {
 				c := *sts
 				c.PeakFreqs = append([]float64(nil), sts.PeakFreqs...)
@@ -79,6 +83,7 @@ func TestDifferentialOfflineVsStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			detrended := dsp.Detrend(run.Signal)
 			for i := 0; i < len(detrended); {
 				n := 251 + i%509 // varying odd chunk sizes
 				if i+n > len(detrended) {
@@ -88,42 +93,36 @@ func TestDifferentialOfflineVsStream(t *testing.T) {
 				i += n
 			}
 
-			// The offline STFT also emits a final partial-tail window when
-			// (len-window) isn't hop-aligned; the stream only emits full
-			// windows. Compare the common prefix and bound the difference.
-			if d.Windows() > len(offSTS) || len(offSTS)-d.Windows() > 1 {
-				t.Fatalf("window counts: stream %d, offline %d", d.Windows(), len(offSTS))
+			n := len(offSTS)
+			if d.Windows() != n || len(strSTS) != n {
+				t.Fatalf("window counts: offline %d, stream %d (tap %d)", n, d.Windows(), len(strSTS))
 			}
-			n := d.Windows()
 			strMon := d.Monitor()
-			if len(strSTS) != n {
-				t.Fatalf("tap captured %d STSs, windows %d", len(strSTS), n)
+			offRecs, strRecs := offFlight.Recent(), strFlight.Recent()
+			if len(offRecs) != n || len(strRecs) != n {
+				t.Fatalf("flight records: offline %d, stream %d, windows %d", len(offRecs), len(strRecs), n)
 			}
 			for w := 0; w < n; w++ {
 				off, str := &offSTS[w], &strSTS[w]
-				if off.TimeSec != str.TimeSec {
-					t.Fatalf("window %d: TimeSec offline %v stream %v", w, off.TimeSec, str.TimeSec)
+				if off.TimeSec != str.TimeSec || off.Energy != str.Energy || !equalFloats(off.PeakFreqs, str.PeakFreqs) {
+					t.Fatalf("window %d STS:\n offline %+v\n stream  %+v", w, *off, *str)
 				}
-				if off.Energy != str.Energy {
-					t.Fatalf("window %d: Energy offline %v stream %v", w, off.Energy, str.Energy)
+				if offMon.Outcomes[w] != strMon.Outcomes[w] {
+					t.Fatalf("window %d outcome: offline %+v stream %+v", w, offMon.Outcomes[w], strMon.Outcomes[w])
 				}
-				if !equalFloats(off.PeakFreqs, str.PeakFreqs) {
-					t.Fatalf("window %d: PeakFreqs offline %v stream %v", w, off.PeakFreqs, str.PeakFreqs)
-				}
-				offOut, strOut := offMon.Outcomes[w], strMon.Outcomes[w]
-				if offOut.Region != strOut.Region || offOut.Rejected != strOut.Rejected || offOut.Flagged != strOut.Flagged {
-					t.Fatalf("window %d: outcome offline %+v stream %+v", w, offOut, strOut)
+				if !reflect.DeepEqual(offRecs[w], strRecs[w]) {
+					t.Fatalf("window %d provenance:\n offline %+v\n stream  %+v", w, offRecs[w], strRecs[w])
 				}
 			}
-			offReports := reportsBefore(offMon.Reports, n)
-			strReports := strMon.Reports
-			if len(offReports) != len(strReports) {
-				t.Fatalf("report counts: offline %d, stream %d", len(offReports), len(strReports))
+			if !reflect.DeepEqual(offMon.Reports, strMon.Reports) {
+				t.Fatalf("reports:\n offline %+v\n stream  %+v", offMon.Reports, strMon.Reports)
 			}
-			for i := range offReports {
-				if offReports[i].TimeSec != strReports[i].TimeSec || offReports[i].Region != strReports[i].Region {
-					t.Fatalf("report %d: offline %+v stream %+v", i, offReports[i], strReports[i])
-				}
+			if offFlight.Alarms() != strFlight.Alarms() || !reflect.DeepEqual(offFlight.LastAlarm(), strFlight.LastAlarm()) {
+				t.Fatalf("alarms: offline %d %+v, stream %d %+v",
+					offFlight.Alarms(), offFlight.LastAlarm(), strFlight.Alarms(), strFlight.LastAlarm())
+			}
+			if tc.inj != nil && len(strMon.Reports) == 0 {
+				t.Error("injected capture raised no report: the comparison never covered an alarm")
 			}
 		})
 	}
@@ -139,16 +138,4 @@ func equalFloats(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// reportsBefore drops reports raised on windows the stream never saw
-// (the offline tail window).
-func reportsBefore(reports []core.Report, n int) []core.Report {
-	out := reports[:0:0]
-	for _, r := range reports {
-		if r.Window < n {
-			out = append(out, r)
-		}
-	}
-	return out
 }

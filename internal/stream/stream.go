@@ -1,9 +1,10 @@
 // Package stream provides the deployable, online form of EDDIE: a
 // Detector that consumes raw receiver samples as they arrive (no whole-
-// capture passes), maintains the sliding STFT internally, and feeds each
-// completed Short-Term Spectrum to the monitor. This is the software
-// equivalent of the paper's envisioned low-cost receiver (§5.1: "ASIC
-// block for STFT and peak finding, simple CPU for tests").
+// capture passes), buffers them into hop-spaced analysis windows, reduces
+// each through the shared STS front end (core.Frontend) and feeds the
+// result to the monitor. This is the software equivalent of the paper's
+// envisioned low-cost receiver (§5.1: "ASIC block for STFT and peak
+// finding, simple CPU for tests").
 package stream
 
 import (
@@ -16,7 +17,6 @@ import (
 	"eddie/internal/impair"
 	"eddie/internal/metrics"
 	"eddie/internal/obs"
-	"eddie/internal/stats"
 )
 
 // Config describes the detector's signal front end.
@@ -26,12 +26,12 @@ type Config struct {
 	STFT dsp.STFTConfig
 	// Peaks controls spectral peak extraction.
 	Peaks dsp.PeakConfig
-	// Denoise configures the optional SVD subspace denoising stage that
-	// runs on each power spectrum between the STFT and peak extraction.
-	// The zero value disables it; the detector is then bit-identical to
-	// one built without the stage. The offline pipeline applies the same
-	// stage at the same point, so the offline-vs-stream differential holds
-	// with denoising on.
+	// Denoise configures the optional SVD subspace denoising stage of the
+	// front end, run on each power spectrum between the STFT and peak
+	// extraction. The zero value builds no denoiser at all. Training
+	// reduces its captures through the same core.Frontend, so a model
+	// trained with a denoise config sees exactly the spectra a detector
+	// with that config produces.
 	Denoise dsp.DenoiseConfig
 	// Monitor is the monitoring configuration.
 	Monitor core.MonitorConfig
@@ -40,9 +40,11 @@ type Config struct {
 	// Zero means 2048.
 	DCTau float64
 	// DisableDCBlock feeds samples through unmodified. Use it when the
-	// input is already AC-coupled (e.g. a pre-detrended capture); with
-	// it the detector reproduces the offline pipeline's STS sequence
-	// bit for bit (see the differential test).
+	// input is already AC-coupled (e.g. a pre-detrended capture). The DC
+	// blocker is the only stage the detector runs that the offline
+	// reduction does not (it subtracts the capture's global mean
+	// instead), so with it disabled a detrended capture yields the
+	// offline STS sequence bit for bit (see the differential test).
 	DisableDCBlock bool
 	// Impair, when non-nil, is applied to the incoming samples before
 	// any processing — fault injection for robustness testing. The
@@ -63,9 +65,10 @@ type Config struct {
 	// retain it must copy.
 	Tap func(sts *core.STS)
 	// Trace, when non-nil, records spans for the detector's stages
-	// (impair, STFT, peak extraction) on a "stream" track and is
-	// forwarded to the monitor (unless Monitor.Trace is already set) for
-	// its per-window decision spans. Nil costs nothing.
+	// (impair, then the front end's stft, denoise and peaks) on a
+	// "stream" track and is forwarded to the monitor (unless
+	// Monitor.Trace is already set) for its per-window decision spans.
+	// Nil costs nothing.
 	Trace *obs.Recorder
 	// Flight, when non-nil, is forwarded to the monitor (unless
 	// Monitor.Flight is already set): every window's decision provenance
@@ -85,25 +88,14 @@ type Detector struct {
 	model   *core.Model
 	monitor *core.Monitor
 
-	win      []float64 // analysis window coefficients
+	fe       *core.Frontend
 	buf      []float64 // pending samples (DC-blocked), len < WindowSize + HopSize
-	plan     *dsp.RFFTPlan
-	windowed []float64
-	spec     []complex128
-	work     []complex128
-	power    []float64
-	freqs    []float64
-	peaks    []dsp.Peak // per-window peak scratch
-	frame    dsp.Frame  // per-window frame header, reused
-	sts      core.STS   // per-window STS, reused (Observe copies what it keeps)
-	binHz    func(int) float64
 	chunkBuf []float64 // impairment scratch
 	dcMean   float64
 	dcInit   bool
 	dcAlpha  float64
 
-	denoiser   *dsp.Denoiser // nil when denoising is disabled
-	dnRefactor int64         // refactor count already published to Metrics
+	dnRefactor int64 // denoiser refactor count already published to Metrics
 
 	// adaptUpdates is the monitor adaptation-update count already
 	// published to Metrics (always 0 with adaptation disabled).
@@ -112,7 +104,6 @@ type Detector struct {
 	samplesIn int64
 	sanitized int64
 	windows   int
-	binW      float64
 	track     obs.Track
 
 	// episode tracks ground-truth injection episodes for latency
@@ -152,37 +143,19 @@ func NewDetector(model *core.Model, cfg Config) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	ws := cfg.STFT.WindowSize
-	plan := dsp.PlanRFFT(ws)
-	var denoiser *dsp.Denoiser
-	if cfg.Denoise.Enabled() {
-		denoiser, err = dsp.NewDenoiser(cfg.Denoise, plan.SpectrumLen())
-		if err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
-		}
+	fe, err := core.NewFrontend(cfg.STFT, cfg.Peaks, cfg.Denoise)
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	return &Detector{
-		cfg:     cfg,
-		model:   model,
-		monitor: mon,
-		// The coefficient table is a pure function of (kind, size) and
-		// only ever read, so all detectors of one process share it (a
-		// fleet node's sessions would otherwise each hold a copy).
-		win:      dsp.SharedWindow(cfg.STFT.Window, ws),
-		buf:      make([]float64, 0, ws),
-		plan:     plan,
-		windowed: make([]float64, ws),
-		spec:     make([]complex128, plan.SpectrumLen()),
-		work:     make([]complex128, plan.WorkLen()),
-		power:    make([]float64, plan.SpectrumLen()),
-		dcAlpha:  1 / cfg.DCTau,
-		binW:     cfg.STFT.SampleRate / float64(ws),
-		// Bound once: building the method value per window would
-		// allocate a closure on the hot path.
-		binHz:        cfg.STFT.BinFrequency,
+		cfg:          cfg,
+		model:        model,
+		monitor:      mon,
+		fe:           fe,
+		buf:          make([]float64, 0, cfg.STFT.WindowSize),
+		dcAlpha:      1 / cfg.DCTau,
 		episodeStart: -1,
 		track:        cfg.Trace.Track("stream"),
-		denoiser:     denoiser,
 	}, nil
 }
 
@@ -287,76 +260,37 @@ func (d *Detector) feedChunk(samples []float64) {
 	}
 }
 
-// Write is an alias for Feed, kept for io.Writer-style call sites.
-func (d *Detector) Write(samples []float64) []core.Report { return d.Feed(samples) }
-
-// processWindow turns the buffered WindowSize samples into an STS and
-// feeds the monitor. It runs the same planned real-input FFT and peak
-// extraction as the offline pipeline, so given identical input samples
-// the produced STS is bit-identical to the batch path's.
+// processWindow reduces the buffered WindowSize samples to an STS
+// through the front end (its per-stage spans land on the stream track)
+// and feeds the monitor. The offline pipeline walks captures through the
+// same core.Frontend, so identical input samples yield an identical STS.
 func (d *Detector) processWindow() {
 	var t0 time.Time
 	if d.cfg.Metrics != nil {
 		t0 = time.Now()
 	}
-	ws := d.cfg.STFT.WindowSize
-	sp := d.track.Start("stft")
-	for j := 0; j < ws; j++ {
-		d.windowed[j] = d.buf[j] * d.win[j]
-	}
-	d.plan.PowerInto(d.power, d.windowed, d.spec, d.work)
-	sp.End()
-	if d.denoiser != nil {
-		sp = d.track.Start("denoise")
-		d.denoiser.Push(d.power)
-		sp.End()
-		if m := d.cfg.Metrics; m != nil {
-			if rf := d.denoiser.Refactors(); rf > d.dnRefactor {
-				m.DenoiseRefactors.Add(rf - d.dnRefactor)
-				d.dnRefactor = rf
-				m.DenoiseRank.Set(int64(d.denoiser.Rank()))
-				m.DenoiseEnergyPct.Set(int64(d.denoiser.EnergyRatio()*100 + 0.5))
-			}
-		}
-	}
-	sp = d.track.Start("peaks")
-	d.frame.Index = d.windows
-	d.frame.Power = d.power
-	d.peaks = dsp.FindPeaksInto(d.peaks[:0], &d.frame, d.cfg.Peaks, d.binHz)
-	d.freqs = d.freqs[:0]
-	for _, p := range d.peaks {
-		d.freqs = append(d.freqs, dsp.InterpolatePeakFrequency(&d.frame, p.Bin, d.binW))
-	}
-	stats.Sort(d.freqs)
-	sp.End()
-	minBin := d.cfg.Peaks.MinBin
-	if minBin < 1 {
-		minBin = 1
-	}
-	var energy float64
-	for b := minBin; b < len(d.power); b++ {
-		energy += d.power[b]
-	}
-	// Reuse the detector-owned STS: a stack literal escapes through the
-	// Observe call and would heap-allocate every window. Monitor.Observe
-	// copies the peak list into its ring, so nothing here is retained.
-	d.sts = core.STS{
-		PeakFreqs: d.freqs,
-		Energy:    energy,
-		TimeSec:   float64(d.samplesIn-int64(len(d.buf))) / d.cfg.STFT.SampleRate,
-	}
+	sts := d.fe.Reduce(d.buf, d.track)
+	sts.TimeSec = float64(d.samplesIn-int64(len(d.buf))) / d.cfg.STFT.SampleRate
 	if d.cfg.Tap != nil {
-		d.cfg.Tap(&d.sts)
+		d.cfg.Tap(sts)
 	}
-	reported := d.monitor.Observe(&d.sts)
+	// Monitor.Observe copies the peak list into its ring, so the front
+	// end's reused STS is never retained.
+	reported := d.monitor.Observe(sts)
 	if m := d.cfg.Metrics; m != nil {
 		m.Windows.Inc()
-		m.PeakCount.Observe(float64(len(d.freqs)))
+		m.PeakCount.Observe(float64(len(sts.PeakFreqs)))
 		m.WindowNanos.Record(int64(time.Since(t0)))
 		if u := d.monitor.AdaptUpdates(); u > d.adaptUpdates {
 			m.AdaptUpdates.Add(u - d.adaptUpdates)
 			d.adaptUpdates = u
 			m.AdaptDrift.Set(d.monitor.AdaptDrift())
+		}
+		if dn := d.fe.Denoiser(); dn != nil && dn.Refactors() > d.dnRefactor {
+			m.DenoiseRefactors.Add(dn.Refactors() - d.dnRefactor)
+			d.dnRefactor = dn.Refactors()
+			m.DenoiseRank.Set(int64(dn.Rank()))
+			m.DenoiseEnergyPct.Set(int64(dn.EnergyRatio()*100 + 0.5))
 		}
 	}
 	d.scoreGroundTruth(reported)
@@ -415,7 +349,7 @@ func (d *Detector) Buffered() int { return len(d.buf) }
 func (d *Detector) Monitor() *core.Monitor { return d.monitor }
 
 // Denoiser exposes the subspace denoising stage, or nil when disabled.
-func (d *Detector) Denoiser() *dsp.Denoiser { return d.denoiser }
+func (d *Detector) Denoiser() *dsp.Denoiser { return d.fe.Denoiser() }
 
 // isFinite reports whether s is neither NaN nor ±Inf.
 func isFinite(s float64) bool {

@@ -7,7 +7,6 @@ import (
 	"eddie/internal/cfg"
 	"eddie/internal/core"
 	"eddie/internal/dsp"
-	"eddie/internal/trace"
 )
 
 // The fleet-load benchmark needs raw sample streams, not STS windows:
@@ -59,8 +58,8 @@ func Signal(n int, stft dsp.STFTConfig, seed int64, shift float64) []float64 {
 
 // TrainSignalModel trains a single-region model on nRuns clean
 // synthetic captures of samplesPerRun samples each, reduced exactly the
-// way the fleet server reduces live streams (detrend, STFT, peak
-// extraction). Every window is labeled with the machine's one loop
+// way the fleet server reduces live streams (detrend, then the shared
+// core.Frontend). Every window is labeled with the machine's one loop
 // region, so the monitor starts there and stays there — the steady
 // in-region regime a dense fleet node lives in.
 func TrainSignalModel(nRuns, samplesPerRun int, stft dsp.STFTConfig, peakCfg dsp.PeakConfig) (*core.Model, *cfg.Machine, error) {
@@ -69,22 +68,16 @@ func TrainSignalModel(nRuns, samplesPerRun int, stft dsp.STFTConfig, peakCfg dsp
 		return nil, nil, err
 	}
 	region := m.LoopRegionOf(0)
+	fe, err := core.NewFrontend(stft, peakCfg, dsp.DenoiseConfig{})
+	if err != nil {
+		return nil, nil, err
+	}
 	runs := make([][]core.STS, nRuns)
 	for i := range runs {
-		sig := dsp.Detrend(Signal(samplesPerRun, stft, int64(i+1), 1))
-		frames, err := dsp.STFT(sig, stft)
-		if err != nil {
-			return nil, nil, err
+		runs[i] = fe.Capture(dsp.Detrend(Signal(samplesPerRun, stft, int64(i+1), 1)))
+		for j := range runs[i] {
+			runs[i][j].Region = region
 		}
-		labeled := make([]trace.LabeledFrame, len(frames))
-		for j := range frames {
-			labeled[j] = trace.LabeledFrame{
-				Frame:   frames[j],
-				Region:  region,
-				TimeSec: float64(frames[j].Start) / stft.SampleRate,
-			}
-		}
-		runs[i] = core.ExtractSTS(labeled, stft, peakCfg)
 	}
 	model, err := core.Train("synthfleet", m, runs, core.DefaultTrainConfig())
 	if err != nil {

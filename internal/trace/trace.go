@@ -31,39 +31,12 @@ type LabeledFrame struct {
 // SampleRate must equal run.Config.SampleRate().
 func LabelFrames(frames []dsp.Frame, stftCfg dsp.STFTConfig, run *sim.RunResult) []LabeledFrame {
 	out := make([]LabeledFrame, 0, len(frames))
-	period := int64(run.Config.SamplePeriod)
-	segs := run.Segments
-	segIdx := 0
+	lb := NewLabeler(stftCfg, run)
 	for _, f := range frames {
-		startCycle := int64(f.Start) * period
-		endCycle := (int64(f.Start) + int64(stftCfg.WindowSize)) * period
-
-		// Advance past segments that end before this window.
-		for segIdx < len(segs) && segs[segIdx].EndCycle <= startCycle {
-			segIdx++
-		}
-		// Find the region with the largest cycle overlap.
-		best := cfg.NoRegion
-		var bestOverlap int64
-		for i := segIdx; i < len(segs) && segs[i].StartCycle < endCycle; i++ {
-			s := segs[i]
-			lo := max64(s.StartCycle, startCycle)
-			hi := min64(s.EndCycle, endCycle)
-			if hi-lo > bestOverlap {
-				bestOverlap = hi - lo
-				best = s.Region
-			}
-		}
-		injected := false
-		for k := f.Start; k < f.Start+stftCfg.WindowSize && k < len(run.InjectedSamples); k++ {
-			if run.InjectedSamples[k] {
-				injected = true
-				break
-			}
-		}
+		region, injected := lb.Label(f.Start)
 		out = append(out, LabeledFrame{
 			Frame:    f,
-			Region:   best,
+			Region:   region,
 			Injected: injected,
 			TimeSec:  float64(f.Start) / stftCfg.SampleRate,
 		})
@@ -71,16 +44,53 @@ func LabelFrames(frames []dsp.Frame, stftCfg dsp.STFTConfig, run *sim.RunResult)
 	return out
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+// Labeler is a cursor over a run's region trace that labels analysis
+// windows by their start sample. Window starts must be non-decreasing
+// across calls (the cursor only moves forward), which every hop-by-hop
+// walk of a capture satisfies.
+type Labeler struct {
+	run    *sim.RunResult
+	ws     int
+	period int64
+	segIdx int
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// NewLabeler starts a cursor at the beginning of run's region trace for
+// windows of stftCfg.WindowSize samples.
+func NewLabeler(stftCfg dsp.STFTConfig, run *sim.RunResult) Labeler {
+	return Labeler{run: run, ws: stftCfg.WindowSize, period: int64(run.Config.SamplePeriod)}
+}
+
+// Label returns the ground truth of the window starting at sample start:
+// the region holding the largest share of the window's cycles
+// (cfg.NoRegion outside the traced execution) and whether any injected
+// execution fell in the window.
+func (l *Labeler) Label(start int) (region cfg.RegionID, injected bool) {
+	startCycle := int64(start) * l.period
+	endCycle := (int64(start) + int64(l.ws)) * l.period
+	segs := l.run.Segments
+
+	// Advance past segments that end before this window.
+	for l.segIdx < len(segs) && segs[l.segIdx].EndCycle <= startCycle {
+		l.segIdx++
 	}
-	return b
+	// Find the region with the largest cycle overlap.
+	region = cfg.NoRegion
+	var bestOverlap int64
+	for i := l.segIdx; i < len(segs) && segs[i].StartCycle < endCycle; i++ {
+		s := segs[i]
+		lo := max(s.StartCycle, startCycle)
+		hi := min(s.EndCycle, endCycle)
+		if hi-lo > bestOverlap {
+			bestOverlap = hi - lo
+			region = s.Region
+		}
+	}
+	inj := l.run.InjectedSamples
+	for k := start; k < start+l.ws && k < len(inj); k++ {
+		if inj[k] {
+			return region, true
+		}
+	}
+	return region, false
 }
