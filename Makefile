@@ -50,7 +50,7 @@ race:
 	go vet ./...
 	go test -race -short ./...
 	go test -race -short -count=1 -run 'TestFleetStressConcurrentSessions|TestFleetStressShardedChurn' ./internal/fleet
-	go test -race -short -count=1 -run 'TestDifferentialOfflineVsStream' ./internal/stream
+	go test -race -short -count=1 -run 'TestDifferentialOfflineVsStream|TestDifferentialProvenance' ./internal/stream
 	go test -race -short -count=1 -run 'TestFleetDrainJournalAndSSE|TestFleetJournalRoundTrip' ./internal/fleet
 	go test -race -short -count=1 -run 'TestCoordFailover|TestCoordDifferentialVsDirect' ./internal/coord
 
