@@ -16,19 +16,34 @@ import (
 // arithmetic. Reduce allocates nothing in steady state. A Frontend
 // carries the denoiser's state and is not safe for concurrent use.
 type Frontend struct {
+	peakStep
 	stft     dsp.STFTConfig
-	peakCfg  dsp.PeakConfig
-	binHz    func(int) float64 // bound once: a per-window method value allocates
-	win      []float64         // shared taper coefficients, read-only
+	win      []float64 // shared taper coefficients, read-only
 	plan     *dsp.RFFTPlan
 	windowed []float64
 	spec     []complex128
 	work     []complex128
 	power    []float64
 	denoiser *dsp.Denoiser // nil when denoising is disabled
-	frame    dsp.Frame
-	found    []dsp.Peak
-	sts      STS
+}
+
+// peakStep is the front end's power→STS step on its own, which
+// ExtractSTS applies to precomputed frames.
+type peakStep struct {
+	peakCfg dsp.PeakConfig
+	binHz   func(int) float64 // bound once: a per-window method value allocates
+	binW    float64
+	frame   dsp.Frame
+	found   []dsp.Peak
+	sts     STS
+}
+
+func newPeakStep(stftCfg dsp.STFTConfig, peakCfg dsp.PeakConfig) peakStep {
+	return peakStep{
+		peakCfg: peakCfg,
+		binHz:   stftCfg.BinFrequency,
+		binW:    stftCfg.SampleRate / float64(stftCfg.WindowSize),
+	}
 }
 
 // NewFrontend builds a front end for windows of stftCfg.WindowSize
@@ -37,7 +52,7 @@ func NewFrontend(stftCfg dsp.STFTConfig, peakCfg dsp.PeakConfig, denoise dsp.Den
 	if err := stftCfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := powerStep(stftCfg, peakCfg)
+	f := &Frontend{peakStep: newPeakStep(stftCfg, peakCfg), stft: stftCfg}
 	f.plan = dsp.PlanRFFT(stftCfg.WindowSize)
 	f.win = dsp.SharedWindow(stftCfg.Window, stftCfg.WindowSize)
 	f.windowed = make([]float64, stftCfg.WindowSize)
@@ -52,12 +67,6 @@ func NewFrontend(stftCfg dsp.STFTConfig, peakCfg dsp.PeakConfig, denoise dsp.Den
 		f.denoiser = dn
 	}
 	return f, nil
-}
-
-// powerStep returns a front end that can only run fromPower, the
-// power→STS step ExtractSTS applies to precomputed frames.
-func powerStep(stftCfg dsp.STFTConfig, peakCfg dsp.PeakConfig) *Frontend {
-	return &Frontend{stft: stftCfg, peakCfg: peakCfg, binHz: stftCfg.BinFrequency}
 }
 
 // Reduce turns one window of exactly WindowSize samples into the front
@@ -85,21 +94,20 @@ func (f *Frontend) Reduce(samples []float64, tk obs.Track) *STS {
 // fromPower reduces one power spectrum to the reused STS: peaks
 // (frequency-refined, sorted ascending) and the energy of the bins from
 // the peak rule's first candidate bin up.
-func (f *Frontend) fromPower(power []float64) *STS {
-	f.frame.Power = power
-	f.found = dsp.FindPeaksInto(f.found[:0], &f.frame, f.peakCfg, f.binHz)
-	binW := f.stft.SampleRate / float64(f.stft.WindowSize)
-	freqs := f.sts.PeakFreqs[:0]
-	for _, p := range f.found {
-		freqs = append(freqs, dsp.InterpolatePeakFrequency(&f.frame, p.Bin, binW))
+func (p *peakStep) fromPower(power []float64) *STS {
+	p.frame.Power = power
+	p.found = dsp.FindPeaksInto(p.found[:0], &p.frame, p.peakCfg, p.binHz)
+	freqs := p.sts.PeakFreqs[:0]
+	for _, pk := range p.found {
+		freqs = append(freqs, dsp.InterpolatePeakFrequency(&p.frame, pk.Bin, p.binW))
 	}
 	stats.Sort(freqs)
 	var energy float64
-	for b := max(f.peakCfg.MinBin, 1); b < len(power); b++ {
+	for b := max(p.peakCfg.MinBin, 1); b < len(power); b++ {
 		energy += power[b]
 	}
-	f.sts = STS{PeakFreqs: freqs, Energy: energy}
-	return &f.sts
+	p.sts = STS{PeakFreqs: freqs, Energy: energy}
+	return &p.sts
 }
 
 // Capture reduces a whole AC-coupled capture: STS i covers the window

@@ -50,11 +50,14 @@ func (s *STS) PeakAt(k int) float64 {
 // ExtractSTS converts labeled STFT frames into the STS sequence of one
 // run. stftCfg must match the frames; peakCfg controls peak extraction
 // (DefaultPeakConfig matches the paper's 1%-of-energy rule). It runs the
-// front end's power→STS step on each frame, so it equals Frontend.Capture
-// over the frames' samples; every STS owns a fresh, non-nil PeakFreqs.
+// front end's power→STS step on each frame, so it equals Capture of a
+// Frontend built without denoising over the frames' samples (with
+// denoising, push the frames through the denoiser first, as
+// pipeline.TestReduceMatchesFrameComposition does); every STS owns a
+// fresh, non-nil PeakFreqs.
 func ExtractSTS(frames []trace.LabeledFrame, stftCfg dsp.STFTConfig, peakCfg dsp.PeakConfig) []STS {
 	out := make([]STS, 0, len(frames))
-	step := powerStep(stftCfg, peakCfg)
+	step := newPeakStep(stftCfg, peakCfg)
 	for i := range frames {
 		f := &frames[i]
 		s := step.fromPower(f.Frame.Power).owned()
