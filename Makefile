@@ -10,13 +10,20 @@ build:
 vet:
 	go vet ./...
 
-# Lint tier: go vet always, then staticcheck pinned via `go run` so no
-# tool install is required. The staticcheck leg needs the module proxy
-# to fetch the tool; when the network is unreachable it is skipped with
-# a notice instead of failing the build. Real findings (or any other
-# failure) still fail the target.
+# Lint tier: go vet always, then a gofmt check over the whole tree
+# (the nested perfbench module included): any file `gofmt -l` lists, or
+# any file it cannot parse, fails the target. Then staticcheck pinned
+# via `go run` so no tool install is required. The staticcheck leg
+# needs the module proxy to fetch the tool; when the network is
+# unreachable it is skipped with a notice instead of failing the build.
+# Real findings (or any other failure) still fail the target.
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1
 lint: vet
+	@out=$$(gofmt -l . 2>&1); st=$$?; \
+	if [ $$st -ne 0 ] || [ -n "$$out" ]; then \
+	    echo "lint: gofmt reports:"; printf '%s\n' "$$out"; exit 1; \
+	fi; \
+	echo "lint: gofmt clean"
 	@out=$$(go run $(STATICCHECK) ./... 2>&1); st=$$?; \
 	if [ $$st -ne 0 ] && printf '%s' "$$out" | grep -qiE 'dial tcp|no such host|connection refused|i/o timeout|network is unreachable|proxy\.golang|tls handshake timeout'; then \
 	    echo "lint: staticcheck unavailable (offline); skipped"; \

@@ -364,6 +364,71 @@ func pipelineConfig(mode string) eddie.PipelineConfig {
 	return eddie.IoTPipeline()
 }
 
+// openJournal opens the -journal-dir journal and announces it; with no
+// -journal-dir it returns a nil journal, which every user accepts.
+// events names what is journaled in the announcement.
+func openJournal(o *options, stdout io.Writer, events string) (*eddie.AlarmJournal, error) {
+	if o.journalDir == "" {
+		return nil, nil
+	}
+	journal, err := eddie.OpenAlarmJournal(eddie.AlarmJournalConfig{
+		Dir:          o.journalDir,
+		MaxFileBytes: int64(o.journalMaxMB) << 20,
+		Fsync:        o.journalFsync,
+	})
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(stdout, "journaling %s to %s (fsync %s, rotate at %d MiB)\n",
+		events, o.journalDir, o.journalFsync, o.journalMaxMB)
+	return journal, nil
+}
+
+// serveDebug starts the -serve HTTP endpoints in the background,
+// exposing reg on /metrics and /debug/vars plus whatever else state
+// holds; endpoints lists them in the announcement.
+func serveDebug(addr string, reg *eddie.MetricsRegistry, state eddie.ServeState, endpoints string, stdout, stderr io.Writer) error {
+	reg.Publish("eddie") // /debug/vars; idempotent
+	state.Metrics = reg
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	mux := eddie.NewServeMux(state)
+	fmt.Fprintf(stdout, "serving debug endpoints on http://%s (%s)\n", ln.Addr(), endpoints)
+	go func() {
+		if err := http.Serve(ln, mux); err != nil {
+			fmt.Fprintln(stderr, "eddie: serve:", err)
+		}
+	}()
+	return nil
+}
+
+// serveUntilSignal runs serve until it fails or SIGINT/SIGTERM arrives.
+// On a signal it prints "received <signal>, <stopping>", runs shutdown
+// under the -fleet-drain-timeout budget (a failure is reported as
+// "<step> incomplete"), waits for serve to return and prints stopped.
+func serveUntilSignal(o *options, stdout, stderr io.Writer, serve func() error, shutdown func(context.Context) error, stopping, step, stopped string) error {
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- serve() }()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	select {
+	case s := <-sig:
+		fmt.Fprintf(stdout, "received %v, %s\n", s, stopping)
+		ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
+		defer cancel()
+		if err := shutdown(ctx); err != nil {
+			fmt.Fprintf(stderr, "eddie: %s incomplete: %v\n", step, err)
+		}
+		<-serveDone
+		fmt.Fprintln(stdout, stopped)
+		return nil
+	case err := <-serveDone:
+		return err
+	}
+}
+
 // runFleet runs the long-lived fleet monitoring server until SIGINT or
 // SIGTERM, then drains gracefully.
 func runFleet(o *options, stdout, stderr io.Writer) error {
@@ -374,21 +439,11 @@ func runFleet(o *options, stdout, stderr io.Writer) error {
 	// The observability plane: durable journal (opt-in via -journal-dir),
 	// live alarm streaming and SLO burn-rate health (always on — both are
 	// nearly free and nil-safe inside the server).
-	var journal *eddie.AlarmJournal
-	if o.journalDir != "" {
-		var err error
-		journal, err = eddie.OpenAlarmJournal(eddie.AlarmJournalConfig{
-			Dir:          o.journalDir,
-			MaxFileBytes: int64(o.journalMaxMB) << 20,
-			Fsync:        o.journalFsync,
-		})
-		if err != nil {
-			return err
-		}
-		defer journal.Close()
-		fmt.Fprintf(stdout, "journaling alarms to %s (fsync %s, rotate at %d MiB)\n",
-			o.journalDir, o.journalFsync, o.journalMaxMB)
+	journal, err := openJournal(o, stdout, "alarms")
+	if err != nil {
+		return err
 	}
+	defer journal.Close()
 	alarms := eddie.NewAlarmStream()
 	slo := eddie.NewSLOTracker(eddie.SLOConfig{})
 
@@ -420,50 +475,21 @@ func runFleet(o *options, stdout, stderr io.Writer) error {
 	}
 
 	if o.serveAddr != "" {
-		reg.Publish("eddie") // /debug/vars; idempotent
-		ln, err := net.Listen("tcp", o.serveAddr)
-		if err != nil {
+		state := eddie.ServeState{Fleet: srv, Health: slo, Alarms: alarms}
+		if err := serveDebug(o.serveAddr, reg, state, "/metrics /eddie/fleet /eddie/healthz /eddie/alarms", stdout, stderr); err != nil {
 			return err
 		}
-		mux := eddie.NewServeMux(eddie.ServeState{
-			Metrics: reg,
-			Fleet:   srv,
-			Health:  slo,
-			Alarms:  alarms,
-		})
-		fmt.Fprintf(stdout, "serving debug endpoints on http://%s (/metrics /eddie/fleet /eddie/healthz /eddie/alarms)\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, mux); err != nil {
-				fmt.Fprintln(stderr, "eddie: serve:", err)
-			}
-		}()
 	}
 
 	ln, err := net.Listen("tcp", o.fleetAddr)
 	if err != nil {
 		return err
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
 	fmt.Fprintf(stdout, "fleet server on %s, models from %s (%s pipeline); SIGTERM drains\n",
 		ln.Addr(), o.modelDir, o.mode)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		fmt.Fprintf(stdout, "received %v, draining (budget %v)...\n", s, o.drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(stderr, "eddie: drain incomplete: %v\n", err)
-		}
-		<-serveDone
-		fmt.Fprintln(stdout, "fleet server stopped")
-		return nil
-	case err := <-serveDone:
-		return err
-	}
+	return serveUntilSignal(o, stdout, stderr,
+		func() error { return srv.Serve(ln) }, srv.Shutdown,
+		fmt.Sprintf("draining (budget %v)...", o.drainTimeout), "drain", "fleet server stopped")
 }
 
 // runCoord runs the multi-node fleet coordinator until SIGINT or
@@ -473,21 +499,11 @@ func runCoord(o *options, stdout, stderr io.Writer) error {
 	reg := eddie.NewMetricsRegistry()
 	publishBuildInfo(reg)
 
-	var journal *eddie.AlarmJournal
-	if o.journalDir != "" {
-		var err error
-		journal, err = eddie.OpenAlarmJournal(eddie.AlarmJournalConfig{
-			Dir:          o.journalDir,
-			MaxFileBytes: int64(o.journalMaxMB) << 20,
-			Fsync:        o.journalFsync,
-		})
-		if err != nil {
-			return err
-		}
-		defer journal.Close()
-		fmt.Fprintf(stdout, "journaling coordinator events to %s (fsync %s, rotate at %d MiB)\n",
-			o.journalDir, o.journalFsync, o.journalMaxMB)
+	journal, err := openJournal(o, stdout, "coordinator events")
+	if err != nil {
+		return err
 	}
+	defer journal.Close()
 
 	c, err := eddie.NewCoordinator(eddie.CoordinatorConfig{
 		Backends: o.backendList(),
@@ -502,48 +518,22 @@ func runCoord(o *options, stdout, stderr io.Writer) error {
 	}
 
 	if o.serveAddr != "" {
-		reg.Publish("eddie") // /debug/vars; idempotent
-		ln, err := net.Listen("tcp", o.serveAddr)
-		if err != nil {
+		// The cross-backend aggregated session listing.
+		state := eddie.ServeState{Fleet: c}
+		if err := serveDebug(o.serveAddr, reg, state, "/metrics /eddie/fleet", stdout, stderr); err != nil {
 			return err
 		}
-		mux := eddie.NewServeMux(eddie.ServeState{
-			Metrics: reg,
-			Fleet:   c, // cross-backend aggregated session listing
-		})
-		fmt.Fprintf(stdout, "serving debug endpoints on http://%s (/metrics /eddie/fleet)\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, mux); err != nil {
-				fmt.Fprintln(stderr, "eddie: serve:", err)
-			}
-		}()
 	}
 
 	ln, err := net.Listen("tcp", o.coordAddr)
 	if err != nil {
 		return err
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- c.Serve(ln) }()
 	fmt.Fprintf(stdout, "fleet coordinator on %s, %d backends: %s; SIGTERM drains\n",
 		ln.Addr(), len(o.backendList()), o.backends)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		fmt.Fprintf(stdout, "received %v, stopping...\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-		defer cancel()
-		if err := c.Shutdown(ctx); err != nil {
-			fmt.Fprintf(stderr, "eddie: shutdown incomplete: %v\n", err)
-		}
-		<-serveDone
-		fmt.Fprintln(stdout, "fleet coordinator stopped")
-		return nil
-	case err := <-serveDone:
-		return err
-	}
+	return serveUntilSignal(o, stdout, stderr,
+		func() error { return c.Serve(ln) }, c.Shutdown,
+		"stopping...", "shutdown", "fleet coordinator stopped")
 }
 
 // runExperiment dispatches -experiment and writes the machine-readable
@@ -606,19 +596,11 @@ func run(o *options, stdout io.Writer) error {
 		dm = eddie.NewDetectorMetrics()
 	}
 	if o.serveAddr != "" {
-		dm.Reg.Publish("eddie") // /debug/vars; idempotent
 		publishBuildInfo(dm.Reg)
-		ln, err := net.Listen("tcp", o.serveAddr)
-		if err != nil {
+		state := eddie.ServeState{Flight: flight, Trace: rec}
+		if err := serveDebug(o.serveAddr, dm.Reg, state, "/debug/vars /debug/pprof/ /metrics /eddie/last-alarm", stdout, os.Stderr); err != nil {
 			return err
 		}
-		mux := eddie.NewDebugMux(dm.Reg, flight, rec, nil)
-		fmt.Fprintf(stdout, "serving debug endpoints on http://%s (/debug/vars /debug/pprof/ /metrics /eddie/last-alarm)\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "eddie: serve:", err)
-			}
-		}()
 	}
 
 	var model *eddie.Model

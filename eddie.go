@@ -262,22 +262,6 @@ func NewTraceRecorder() *TraceRecorder { return obs.NewRecorder() }
 // keeping the last depth windows (depth <= 0 uses the default of 64).
 func NewFlightRecorder(depth int) *FlightRecorder { return obs.NewFlightRecorder(depth) }
 
-// NewDebugMux builds the eddie -serve HTTP handler: /debug/vars
-// (expvar), /debug/pprof/*, /metrics (Prometheus text exposition of the
-// registry), /eddie/last-alarm, /eddie/flight, /eddie/fleet and
-// /eddie/trace. Any argument may be nil; the corresponding endpoint
-// then reports not found or serves empty data.
-func NewDebugMux(reg *MetricsRegistry, flight *FlightRecorder, trace *TraceRecorder, fleetSrv *FleetServer) *http.ServeMux {
-	s := obs.ServeState{Flight: flight, Trace: trace}
-	if reg != nil {
-		s.Metrics = reg
-	}
-	if fleetSrv != nil {
-		s.Fleet = fleetSrv
-	}
-	return obs.NewMux(s)
-}
-
 // Journal fsync policies for AlarmJournalConfig.Fsync.
 const (
 	JournalFsyncAlways   = obs.FsyncAlways
@@ -309,10 +293,12 @@ func NewAlarmStream() *AlarmStream { return obs.NewAlarmStream() }
 // (500ms p99 budget, 5m/1h burn windows).
 func NewSLOTracker(cfg SLOConfig) *SLOTracker { return obs.NewSLOTracker(cfg) }
 
-// NewServeMux builds the eddie -serve HTTP handler from an explicit
-// ServeState — the general form of NewDebugMux, exposing the full
-// observability plane (/eddie/healthz, /eddie/alarms) alongside the
-// debug endpoints.
+// NewServeMux builds the eddie -serve HTTP handler: /debug/vars
+// (expvar), /debug/pprof/*, /metrics (Prometheus text exposition of the
+// registry), /eddie/last-alarm, /eddie/flight, /eddie/fleet,
+// /eddie/healthz, /eddie/alarms and /eddie/trace. Any ServeState field
+// may be nil; the corresponding endpoint then reports not found or
+// serves empty data.
 func NewServeMux(s ServeState) *http.ServeMux { return obs.NewMux(s) }
 
 // NewFleetServer creates a fleet monitoring server; start it with

@@ -15,32 +15,26 @@ import (
 	"eddie/internal/obs"
 )
 
+// Deadlines on device connections.
+const (
+	// helloTimeout bounds the hello read on an accepted connection.
+	helloTimeout = 10 * time.Second
+	// writeTimeout bounds each outbound frame write.
+	writeTimeout = 10 * time.Second
+)
+
 // Config configures a Coordinator.
 type Config struct {
 	// Backends lists the fleet backends' device-facing addresses
 	// (host:port). Required, at least one.
 	Backends []string
-	// VirtualNodes per backend on the consistent-hash ring. Zero means
-	// DefaultVirtualNodes.
-	VirtualNodes int
-	// ProbeInterval is the health-probe period per backend. Zero means
-	// 1s.
+	// ProbeInterval is the health-probe period per backend; one probe
+	// RPC (dial + query + report) may take twice as long. Zero means 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe RPC (dial + query + report). Zero
-	// means 2×ProbeInterval.
-	ProbeTimeout time.Duration
 	// DownAfter is how many consecutive bad probes (unreachable,
 	// draining, or a sustained-overload SLO verdict) drain a backend
 	// and re-home its ring span. Zero means 3.
 	DownAfter int
-	// IdleTimeout bounds the hello read on an accepted device
-	// connection. Zero means 10s.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each outbound frame write. Zero means 10s.
-	WriteTimeout time.Duration
-	// MaxFrameBytes caps one frame's payload. Zero means
-	// fleet.DefaultMaxFrameBytes.
-	MaxFrameBytes int
 	// PerBackendCap, when positive, lowers the per-backend admission
 	// bound below what each backend reports as its own MaxSessions —
 	// the knob for running a fleet at a deliberate utilization ceiling
@@ -61,26 +55,11 @@ type Config struct {
 
 // withDefaults resolves the zero values.
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * c.ProbeInterval
-	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 3
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 10 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = fleet.DefaultMaxFrameBytes
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
@@ -198,7 +177,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:       cfg,
 		reg:       cfg.Registry,
-		ring:      NewRing(cfg.VirtualNodes),
+		ring:      NewRing(DefaultVirtualNodes),
 		byAddr:    map[string]*backend{},
 		ready:     make(chan struct{}),
 		readyLeft: len(cfg.Backends),
@@ -357,14 +336,14 @@ func (c *Coordinator) noteRingChange() {
 // with the redirectSeq snapshot taken as the query left. The probe I/O
 // runs outside b.mu — only probeLoop touches the connection, and
 // holding the lock across a slow RPC would stall every redirect to
-// this backend for up to ProbeTimeout.
+// this backend for up to the probe timeout.
 func (c *Coordinator) queryLoad(b *backend) (fleet.LoadReport, int64, error) {
-	deadline := time.Now().Add(c.cfg.ProbeTimeout)
+	deadline := time.Now().Add(c.probeTimeout())
 	b.mu.Lock()
 	conn, br := b.conn, b.br
 	b.mu.Unlock()
 	if conn == nil {
-		dialed, err := net.DialTimeout("tcp", b.addr, c.cfg.ProbeTimeout)
+		dialed, err := net.DialTimeout("tcp", b.addr, c.probeTimeout())
 		if err != nil {
 			return fleet.LoadReport{}, 0, err
 		}
@@ -377,7 +356,7 @@ func (c *Coordinator) queryLoad(b *backend) (fleet.LoadReport, int64, error) {
 	sentSeq := b.redirectSeq
 	b.mu.Unlock()
 	rep, err := roundTrip[fleet.LoadReport](conn, br, deadline,
-		fleet.FrameLoadQuery, nil, fleet.FrameLoadReport, c.cfg.MaxFrameBytes)
+		fleet.FrameLoadQuery, nil, fleet.FrameLoadReport)
 	if err != nil {
 		conn.Close()
 		b.mu.Lock()
@@ -388,16 +367,20 @@ func (c *Coordinator) queryLoad(b *backend) (fleet.LoadReport, int64, error) {
 	return rep, sentSeq, nil
 }
 
+// probeTimeout bounds one control RPC to a backend: twice the probe
+// period.
+func (c *Coordinator) probeTimeout() time.Duration { return 2 * c.cfg.ProbeInterval }
+
 // roundTrip writes one control frame and decodes the expected JSON
 // answer under a deadline.
 func roundTrip[T any](conn net.Conn, br *bufio.Reader, deadline time.Time,
-	reqTyp byte, reqPayload []byte, wantTyp byte, maxFrame int) (T, error) {
+	reqTyp byte, reqPayload []byte, wantTyp byte) (T, error) {
 	var out T
 	conn.SetDeadline(deadline)
 	if err := fleet.WriteFrame(conn, reqTyp, reqPayload); err != nil {
 		return out, err
 	}
-	typ, payload, err := fleet.ReadFrame(br, maxFrame)
+	typ, payload, err := fleet.ReadFrame(br, fleet.DefaultMaxFrameBytes)
 	if err != nil {
 		return out, err
 	}
@@ -473,9 +456,9 @@ func (c *Coordinator) Serve(ln net.Listener) error {
 func (c *Coordinator) handle(conn net.Conn) {
 	defer c.wg.Done()
 	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(c.cfg.IdleTimeout))
+	conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	br := bufio.NewReaderSize(conn, 1<<12)
-	typ, payload, err := fleet.ReadFrame(br, c.cfg.MaxFrameBytes)
+	typ, payload, err := fleet.ReadFrame(br, fleet.DefaultMaxFrameBytes)
 	if err != nil {
 		return
 	}
@@ -565,7 +548,7 @@ func (c *Coordinator) pick(device string) (*backend, bool) {
 
 // writeFrame writes one outbound frame under the write deadline.
 func (c *Coordinator) writeFrame(conn net.Conn, typ byte, payload []byte) {
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	fleet.WriteFrame(conn, typ, payload)
 }
 
@@ -628,7 +611,7 @@ func (c *Coordinator) finishJournal(detail string) {
 
 // --- obs integration: the coordinator is the fleet's front door, so it
 // implements the same listing and health interfaces the single-node
-// server does (obs.SessionLister, obs.SessionPager, obs.FleetHealth),
+// server does (obs.SessionPager, obs.FleetHealth),
 // aggregating across backends over the FleetQuery control RPC.
 
 // Draining reports whether shutdown has been requested
@@ -671,13 +654,6 @@ func (c *Coordinator) HealthStatus() string {
 	default:
 		return obs.HealthReady
 	}
-}
-
-// FleetSessions returns the whole cross-backend session listing
-// (obs.SessionLister; the paged variant below is preferred).
-func (c *Coordinator) FleetSessions() any {
-	page, _, _ := c.FleetSessionsPage(0, obs.MaxFleetPageLimit)
-	return page
 }
 
 // FleetSessionsPage aggregates one listing page across the backends in
@@ -727,14 +703,14 @@ func (c *Coordinator) FleetSessionsPage(offset, limit int) (any, int, int) {
 // connection (listings are a low-rate obs endpoint; the persistent
 // probe connection stays dedicated to health).
 func (c *Coordinator) queryFleet(addr string, q fleet.FleetQuery) (fleet.FleetPage, error) {
-	conn, err := net.DialTimeout("tcp", addr, c.cfg.ProbeTimeout)
+	conn, err := net.DialTimeout("tcp", addr, c.probeTimeout())
 	if err != nil {
 		return fleet.FleetPage{}, err
 	}
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 1<<16)
-	return roundTrip[fleet.FleetPage](conn, br, time.Now().Add(c.cfg.ProbeTimeout),
-		fleet.FrameFleetQuery, mustJSON(q), fleet.FrameFleetPage, c.cfg.MaxFrameBytes)
+	return roundTrip[fleet.FleetPage](conn, br, time.Now().Add(c.probeTimeout()),
+		fleet.FrameFleetQuery, mustJSON(q), fleet.FrameFleetPage)
 }
 
 // mustJSON marshals a protocol payload; the payload types marshal

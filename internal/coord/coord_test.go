@@ -469,7 +469,7 @@ func TestCoordLoadQueryAggregates(t *testing.T) {
 	}
 	defer conn.Close()
 	rep, err := roundTrip[fleet.LoadReport](conn, bufio.NewReader(conn), time.Now().Add(2*time.Second),
-		fleet.FrameLoadQuery, nil, fleet.FrameLoadReport, fleet.DefaultMaxFrameBytes)
+		fleet.FrameLoadQuery, nil, fleet.FrameLoadReport)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ import (
 	"sync"
 )
 
-// DefaultVirtualNodes is how many ring points each backend gets when
-// Config.VirtualNodes is zero: enough that each backend's owned span is
+// DefaultVirtualNodes is how many ring points each backend gets on the
+// coordinator's ring: enough that each backend's owned span is
 // the sum of many small arcs (arc-length variance shrinks like
 // 1/sqrt(vnodes), so 160 points — the ketama convention — keeps the
 // hottest backend within ~2x of the coldest) while keeping ring

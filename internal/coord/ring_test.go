@@ -50,7 +50,7 @@ func TestRingBalance(t *testing.T) {
 	if len(counts) != len(backends) {
 		t.Fatalf("only %d of %d backends received devices: %v", len(counts), len(backends), counts)
 	}
-	min, max := 1 << 30, 0
+	min, max := 1<<30, 0
 	for _, n := range counts {
 		if n < min {
 			min = n

@@ -15,10 +15,21 @@ import (
 // before rejections cut the clean streak.
 const (
 	DefaultAdaptRate           = 0.05
-	DefaultAdaptMaxStepFrac    = 0.05
 	DefaultAdaptMinCleanStreak = 12
-	DefaultAdaptMaxKSDistance  = 0.35
 )
+
+// adaptMaxStepFrac bounds a single update's per-value shift to this
+// fraction of the reference span (the contamination backstop; the span
+// is floored at adaptRelSpanFloor of the reference's position so
+// near-point-mass ranks can track at all).
+const adaptMaxStepFrac = 0.05
+
+// adaptMaxKSDistance gates each peak rank individually: a rank whose
+// monitored sample sits further than this K-S distance from its current
+// reference is not blended (a group can be "clean" at significance alpha
+// yet still be an implausible teacher for the ranks it disagrees on),
+// unless the rank's shift is relatively tiny (see adaptRelSpanFloor).
+const adaptMaxKSDistance = 0.35
 
 // adaptMinGroup is the smallest accepted monitored group adaptation will
 // learn from. Regions dwell for only a few dozen windows per visit —
@@ -46,9 +57,9 @@ const adaptRelSpanFloor = 0.005
 // guards keep injected code from poisoning the reference: an update is
 // admitted only after MinCleanStreak consecutive clean windows, each
 // peak rank is blended only when it agrees with its current reference (a
-// K-S distance within MaxKSDistance, or a sub-permille relative shift no
-// injection could produce), and even then each reference value moves at
-// most a bounded step per update.
+// K-S distance within adaptMaxKSDistance, or a sub-permille relative
+// shift no injection could produce), and even then each reference value
+// moves at most adaptMaxStepFrac of its span per update.
 //
 // The zero value (Enabled false) is the static paper behavior: the
 // monitor never touches the model and the decision path is bit-identical
@@ -61,24 +72,10 @@ type AdaptConfig struct {
 	// matching quantile. Must be in (0, 1]; zero means
 	// DefaultAdaptRate.
 	Rate float64
-	// MaxStepFrac bounds a single update's per-value shift to this
-	// fraction of the reference span (the contamination backstop; the
-	// span is floored at a small fraction of the reference's position so
-	// near-point-mass ranks can track at all). Must be in (0, 1]; zero
-	// means DefaultAdaptMaxStepFrac.
-	MaxStepFrac float64
 	// MinCleanStreak is how many consecutive clean windows must
 	// accumulate before updates are admitted; any rejection resets the
 	// streak. Zero means DefaultAdaptMinCleanStreak.
 	MinCleanStreak int
-	// MaxKSDistance gates each peak rank individually: a rank whose
-	// monitored sample sits further than this K-S distance from its
-	// current reference is not blended (a group can be "clean" at
-	// significance alpha yet still be an implausible teacher for the
-	// ranks it disagrees on), unless the rank's shift is relatively tiny
-	// (see adaptRelSpanFloor). Must be in (0, 1); zero means
-	// DefaultAdaptMaxKSDistance.
-	MaxKSDistance float64
 }
 
 // withDefaults fills zero fields and validates ranges.
@@ -86,26 +83,14 @@ func (c AdaptConfig) withDefaults() (AdaptConfig, error) {
 	if c.Rate == 0 {
 		c.Rate = DefaultAdaptRate
 	}
-	if c.MaxStepFrac == 0 {
-		c.MaxStepFrac = DefaultAdaptMaxStepFrac
-	}
 	if c.MinCleanStreak == 0 {
 		c.MinCleanStreak = DefaultAdaptMinCleanStreak
-	}
-	if c.MaxKSDistance == 0 {
-		c.MaxKSDistance = DefaultAdaptMaxKSDistance
 	}
 	if c.Rate < 0 || c.Rate > 1 {
 		return c, fmt.Errorf("core: adapt rate %g outside (0, 1]", c.Rate)
 	}
-	if c.MaxStepFrac < 0 || c.MaxStepFrac > 1 {
-		return c, fmt.Errorf("core: adapt max step fraction %g outside (0, 1]", c.MaxStepFrac)
-	}
 	if c.MinCleanStreak < 0 {
 		return c, fmt.Errorf("core: negative adapt clean streak %d", c.MinCleanStreak)
-	}
-	if c.MaxKSDistance < 0 || c.MaxKSDistance >= 1 {
-		return c, fmt.Errorf("core: adapt K-S gate %g outside (0, 1)", c.MaxKSDistance)
 	}
 	return c, nil
 }
@@ -211,10 +196,10 @@ func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 		ranks = len(mode.Ref)
 	}
 	// Per-rank distance gate: a clean verdict tolerates up to
-	// RejectFraction of the ranks rejecting, and even accepted small
+	// monitorRejectFraction of the ranks rejecting, and even accepted small
 	// groups sit a sizable K-S distance from the pooled reference — so
 	// each rank qualifies as a teacher individually. A rank is blended
-	// when it agrees with its current reference (D within MaxKSDistance)
+	// when it agrees with its current reference (D within adaptMaxKSDistance)
 	// or when its whole distribution moved by a relative hair's breadth
 	// (within adaptRelSpanFloor): near-point-mass ranks saturate D at
 	// the slightest clock skew, yet a sub-permille shift is far below
@@ -230,7 +215,7 @@ func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 			continue
 		}
 		refMid := stats.MedianSorted(ref)
-		if stats.KSStatisticPresorted(ref, obs) > a.cfg.MaxKSDistance {
+		if stats.KSStatisticPresorted(ref, obs) > adaptMaxKSDistance {
 			obsMid := stats.MedianSorted(obs)
 			near := refMid > 0 && obsMid > 0 &&
 				obsMid > refMid*(1-adaptRelSpanFloor) && obsMid < refMid*(1+adaptRelSpanFloor)
@@ -242,7 +227,7 @@ func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 		if refMid > 0 {
 			minSpan = adaptRelSpanFloor * refMid
 		}
-		drift += stats.BlendSorted(ref, obs, a.cfg.Rate, a.cfg.MaxStepFrac, minSpan)
+		drift += stats.BlendSorted(ref, obs, a.cfg.Rate, adaptMaxStepFrac, minSpan)
 		blended++
 	}
 	if blended == 0 {
@@ -251,11 +236,11 @@ func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 		return
 	}
 	if len(ar.rm.CountRef) > 0 && len(g.counts) > 0 {
-		drift += stats.BlendSorted(ar.rm.CountRef, g.counts, a.cfg.Rate, a.cfg.MaxStepFrac, 0)
+		drift += stats.BlendSorted(ar.rm.CountRef, g.counts, a.cfg.Rate, adaptMaxStepFrac, 0)
 		blended++
 	}
 	if len(ar.rm.EnergyRef) > 0 && len(g.energies) > 0 {
-		drift += stats.BlendSorted(ar.rm.EnergyRef, g.energies, a.cfg.Rate, a.cfg.MaxStepFrac, 0)
+		drift += stats.BlendSorted(ar.rm.EnergyRef, g.energies, a.cfg.Rate, adaptMaxStepFrac, 0)
 		blended++
 	}
 	drift /= float64(blended)

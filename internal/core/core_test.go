@@ -347,11 +347,6 @@ func TestMonitorValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := DefaultMonitorConfig()
-	bad.ReportThreshold = -1
-	if _, err := NewMonitor(model, bad); err == nil {
-		t.Error("negative report threshold accepted")
-	}
-	bad = DefaultMonitorConfig()
 	bad.GroupSizeScale = -1
 	if _, err := NewMonitor(model, bad); err == nil {
 		t.Error("negative scale accepted")

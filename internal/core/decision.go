@@ -61,6 +61,20 @@ func (g *groupSet) sortAll() {
 	stats.Sort(g.energies)
 }
 
+// The region-level K-S test rejects when more than this fraction of the
+// peak ranks reject against every training mode (see evalGroups).
+// Training and monitoring use different values:
+const (
+	// trainRejectFraction (0.35) is the rule the §4.3 group-size sweep
+	// measures its false-rejection rates with.
+	trainRejectFraction = 0.35
+	// monitorRejectFraction (0.5) is the rule the monitor decides with.
+	// A group whose best mode has more than 35% but at most 50% of its
+	// ranks rejecting counts as a false rejection in the sweep, yet the
+	// monitor accepts it.
+	monitorRejectFraction = 0.5
+)
+
 // evalGroups applies the region decision to one monitored group set: the
 // group is accepted if its median peak count and median AC energy fall
 // inside the reference bounds and at least one training mode's per-rank

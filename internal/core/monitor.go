@@ -8,39 +8,38 @@ import (
 	"eddie/internal/stats"
 )
 
-// MonitorConfig controls the monitoring algorithm (Algorithm 1).
-type MonitorConfig struct {
-	// ReportThreshold is how many consecutive K-S rejections are
+// The monitor's fixed operating point (Algorithm 1).
+const (
+	// reportThreshold is how many consecutive K-S rejections are
 	// tolerated before an anomaly is reported; the paper uses 3 (an
 	// anomaly is reported on a 4-long-or-longer rejection streak).
-	ReportThreshold int
-	// ChangeFraction is the fraction of a successor region's peak ranks
+	reportThreshold = 3
+	// changeFraction is the fraction of a successor region's peak ranks
 	// that must accept for the monitor to switch to that region.
-	ChangeFraction float64
-	// RejectFraction is the fraction of the current region's peak ranks
-	// that must reject for the region-level test to reject. Must match
-	// the value used in training.
-	RejectFraction float64
+	changeFraction = 0.5
+	// minTestWindows is the smallest K-S group the monitor will test;
+	// right after a region switch the monitor only has a few windows of
+	// the new region and waits until this many have accumulated.
+	minTestWindows = 4
+	// probeWindows is the group size used when probing successor
+	// regions for a region change: small, so the probe reflects only the
+	// most recent windows (which belong to the new region at a true
+	// border).
+	probeWindows = 8
+)
+
+// MonitorConfig controls the monitoring algorithm (Algorithm 1).
+type MonitorConfig struct {
 	// GroupSizeScale multiplies every region's trained group size n;
 	// the sensitivity sweeps (Figs 3, 6, 8, 9, 10) use it to trade
 	// detection latency against accuracy. Zero means 1.
 	GroupSizeScale float64
-	// MinTestWindows is the smallest K-S group the monitor will test;
-	// right after a region switch the monitor only has a few windows of
-	// the new region and waits until this many have accumulated. Zero
-	// means 4.
-	MinTestWindows int
-	// ProbeWindows is the group size used when probing successor regions
-	// for a region change: small, so the probe reflects only the most
-	// recent windows (which belong to the new region at a true border).
-	// Zero means 8.
-	ProbeWindows int
 	// BurstWindows adds a second, short-horizon K-S test alongside the
 	// region's trained group size: regions with diffuse spectra train
 	// large n (hundreds of windows), and a brief injected burst would
 	// dilute to invisibility inside such a group. The short test keeps
 	// burst detection responsive; its occasional false rejections are
-	// absorbed by ReportThreshold. Zero means 12; negative disables it.
+	// absorbed by reportThreshold. Zero means 12; negative disables it.
 	BurstWindows int
 	// Adapt configures the drift-adaptive reference layer (see
 	// AdaptConfig). The zero value disables it, leaving the decision path
@@ -81,13 +80,10 @@ type MonitorStats interface {
 	RegionSwitch(from, to cfg.RegionID)
 }
 
-// DefaultMonitorConfig mirrors the paper's operating point.
+// DefaultMonitorConfig mirrors the paper's operating point: the
+// static monitor with its default burst horizon and no hooks.
 func DefaultMonitorConfig() MonitorConfig {
-	return MonitorConfig{
-		ReportThreshold: 3,
-		ChangeFraction:  0.5,
-		RejectFraction:  0.5,
-	}
+	return MonitorConfig{}
 }
 
 // Report is one anomaly reported to the user.
@@ -109,7 +105,7 @@ type WindowOutcome struct {
 	// Rejected reports whether the current region's K-S test rejected.
 	Rejected bool
 	// Flagged reports whether the window fell inside an active alarm
-	// (a rejection streak that crossed ReportThreshold).
+	// (a rejection streak that crossed reportThreshold).
 	Flagged bool
 }
 
@@ -169,23 +165,8 @@ func NewMonitor(model *Model, mcfg MonitorConfig) (*Monitor, error) {
 	if model == nil || len(model.Regions) == 0 {
 		return nil, fmt.Errorf("core: monitor needs a trained model with at least one region")
 	}
-	if mcfg.ReportThreshold < 0 {
-		return nil, fmt.Errorf("core: negative report threshold %d", mcfg.ReportThreshold)
-	}
 	if mcfg.GroupSizeScale < 0 {
 		return nil, fmt.Errorf("core: negative group size scale %g", mcfg.GroupSizeScale)
-	}
-	if mcfg.ChangeFraction <= 0 {
-		mcfg.ChangeFraction = 0.5
-	}
-	if mcfg.RejectFraction <= 0 {
-		mcfg.RejectFraction = 0.5
-	}
-	if mcfg.MinTestWindows <= 0 {
-		mcfg.MinTestWindows = 4
-	}
-	if mcfg.ProbeWindows <= 0 {
-		mcfg.ProbeWindows = 8
 	}
 	if mcfg.BurstWindows == 0 {
 		mcfg.BurstWindows = 12
@@ -381,7 +362,7 @@ func (m *Monitor) Observe(sts *STS) bool {
 			n = avail
 			full = false
 		}
-		if n < m.mcfg.MinTestWindows {
+		if n < minTestWindows {
 			break // too few windows of this region yet
 		}
 		rejected := m.regionRejects(curModel, n, rec)
@@ -462,7 +443,7 @@ func (m *Monitor) handleRejection(sts *STS, out *WindowOutcome, rec *obs.WindowR
 		return false
 	}
 	m.streak++
-	if m.streak > m.mcfg.ReportThreshold {
+	if m.streak > reportThreshold {
 		if !m.alarm {
 			m.alarm = true
 			m.Reports = append(m.Reports, Report{
@@ -483,7 +464,7 @@ func (m *Monitor) handleRejection(sts *STS, out *WindowOutcome, rec *obs.WindowR
 		// and flagging the recovered-clean stream would only inflate
 		// false positives — if the attack is still ongoing, the re-locked
 		// region rejects again within a few windows and re-alarms.
-		if m.streak > 2*m.mcfg.ReportThreshold {
+		if m.streak > 2*reportThreshold {
 			if id, ok := m.bestRegionGlobal(); ok {
 				m.switchTo(id)
 				if rec != nil {
@@ -497,7 +478,7 @@ func (m *Monitor) handleRejection(sts *STS, out *WindowOutcome, rec *obs.WindowR
 }
 
 // bestRegionGlobal probes every modeled region (ignoring the successor
-// relation) and returns the best match, if any clears ChangeFraction.
+// relation) and returns the best match, if any clears changeFraction.
 func (m *Monitor) bestRegionGlobal() (cfg.RegionID, bool) {
 	var bestID cfg.RegionID = cfg.NoRegion
 	bestScore := -1.0
@@ -510,8 +491,8 @@ func (m *Monitor) bestRegionGlobal() (cfg.RegionID, bool) {
 			continue
 		}
 		n := m.groupSize(rm)
-		if n > m.mcfg.ProbeWindows {
-			n = m.mcfg.ProbeWindows
+		if n > probeWindows {
+			n = probeWindows
 		}
 		if m.seen < n {
 			continue
@@ -521,7 +502,7 @@ func (m *Monitor) bestRegionGlobal() (cfg.RegionID, bool) {
 			continue
 		}
 		score := 1 - res.bestRejFrac
-		if score >= m.mcfg.ChangeFraction && score > bestScore {
+		if score >= changeFraction && score > bestScore {
 			bestScore = score
 			bestID = id
 		}
@@ -530,7 +511,7 @@ func (m *Monitor) bestRegionGlobal() (cfg.RegionID, bool) {
 }
 
 // bestSuccessor evaluates the successors of the current region and
-// returns the best-matching one, if any clears ChangeFraction.
+// returns the best-matching one, if any clears changeFraction.
 func (m *Monitor) bestSuccessor() (cfg.RegionID, bool) {
 	var bestID cfg.RegionID = cfg.NoRegion
 	bestScore := -1.0
@@ -547,8 +528,8 @@ func (m *Monitor) bestSuccessor() (cfg.RegionID, bool) {
 			continue
 		}
 		n := m.groupSize(rm)
-		if n > m.mcfg.ProbeWindows {
-			n = m.mcfg.ProbeWindows
+		if n > probeWindows {
+			n = probeWindows
 		}
 		if m.seen < n {
 			continue
@@ -558,7 +539,7 @@ func (m *Monitor) bestSuccessor() (cfg.RegionID, bool) {
 			continue
 		}
 		score := 1 - res.bestRejFrac
-		if score >= m.mcfg.ChangeFraction && score > bestScore {
+		if score >= changeFraction && score > bestScore {
 			bestScore = score
 			bestID = succ
 		}
@@ -704,7 +685,7 @@ func (m *Monitor) evalRegion(rm *RegionModel, n int, rec *obs.WindowRecord) eval
 	if rec != nil {
 		pc = &m.prov
 	}
-	res := evalGroups(rm, rm.Modes, g, m.mcfg.RejectFraction, m.cAlpha, start, pc)
+	res := evalGroups(rm, rm.Modes, g, monitorRejectFraction, m.cAlpha, start, pc)
 	if !res.rejected && res.bestMode >= 0 {
 		m.lastMode[rm.Region] = res.bestMode
 	}

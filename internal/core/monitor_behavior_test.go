@@ -32,9 +32,7 @@ func TestReportThresholdSemantics(t *testing.T) {
 	model, m := trainSmall(t)
 	r := rand.New(rand.NewSource(5))
 
-	mc := DefaultMonitorConfig()
-	mc.ReportThreshold = 3
-	mon, err := NewMonitor(model, mc)
+	mon, err := NewMonitor(model, DefaultMonitorConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +63,8 @@ func TestReportThresholdSemantics(t *testing.T) {
 	if firstRejectAt < 0 {
 		t.Fatal("anomalous stream never rejected")
 	}
-	if gap := reportAt - firstRejectAt; gap < mc.ReportThreshold {
-		t.Errorf("report after %d rejections; threshold %d must be tolerated first", gap+1, mc.ReportThreshold)
+	if gap := reportAt - firstRejectAt; gap < reportThreshold {
+		t.Errorf("report after %d rejections; threshold %d must be tolerated first", gap+1, reportThreshold)
 	}
 }
 

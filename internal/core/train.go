@@ -9,37 +9,28 @@ import (
 	"eddie/internal/stats"
 )
 
-// TrainConfig controls model training.
-type TrainConfig struct {
-	// Alpha is the K-S significance level (1 - confidence). The paper
-	// uses the 99% confidence level, i.e. 0.01.
-	Alpha float64
-	// GroupSizes is the candidate grid for the per-region K-S group size
-	// n. Training picks, per region, the smallest candidate achieving
-	// the minimum false-rejection rate observed across the grid (§4.3).
-	GroupSizes []int
-	// MaxPeakRanks caps how many peak ranks are tracked per region.
-	MaxPeakRanks int
-	// MinWindows is the minimum number of training STSs needed to model
-	// a region; regions with fewer are dropped (and later treated like
-	// unmodeled regions).
-	MinWindows int
-	// RejectFraction is the fraction of peak ranks whose K-S test must
-	// reject for the whole region test to count as a rejection. Shared
-	// with monitoring so the training-time FRR sweep measures the same
-	// decision the monitor makes.
-	RejectFraction float64
-	// FRRTolerance is how far above the observed minimum false-rejection
+// The training operating point: the §4.3 group-size selection and the
+// region modelling limits. The sweep decides with trainRejectFraction,
+// which sits beside the monitor's value in decision.go.
+const (
+	// maxPeakRanks caps how many peak ranks are tracked per region.
+	maxPeakRanks = 10
+	// minTrainWindows is the minimum number of training STSs needed to
+	// model a region; regions with fewer are dropped (and later treated
+	// like unmodeled regions).
+	minTrainWindows = 24
+	// frrTolerance is how far above the observed minimum false-rejection
 	// rate a candidate n may be and still qualify as "minimum"; it makes
 	// the smallest-n selection robust to sampling noise.
-	FRRTolerance float64
-	// PowerTargetD is the distribution shift (K-S statistic) the test
-	// must be able to detect: n is floored so that the critical value
+	frrTolerance = 0.01
+	// powerTargetD is the distribution shift (K-S statistic) the test
+	// must be able to detect when the region's own shift distance is
+	// unavailable: n is floored so that the critical value
 	// D_{m,n,alpha} falls below this target. Without the floor, tiny n
 	// trivially achieves zero false rejections — the left edge of the
 	// paper's Fig 3 curves — but has no detection power at all.
-	PowerTargetD float64
-	// ShiftFraction is the relative peak-frequency shift the region's
+	powerTargetD = 0.35
+	// shiftFraction is the relative peak-frequency shift the region's
 	// test should be able to detect (a small in-loop injection changes
 	// the loop period by a few percent). The per-region power target is
 	// the K-S distance that such a shift produces on the region's own
@@ -47,7 +38,20 @@ type TrainConfig struct {
 	// (small n suffices — short latency), diffuse regions yield small
 	// distances (large n — long latency), reproducing the per-region
 	// latency spread of the paper's Figs 3/4/6.
-	ShiftFraction float64
+	shiftFraction = 0.03
+)
+
+// groupSizeGrid is the candidate grid for the per-region K-S group size
+// n, in ascending order. Training picks, per region, the smallest
+// candidate achieving the minimum false-rejection rate observed across
+// the grid (§4.3).
+var groupSizeGrid = [...]int{4, 6, 8, 12, 16, 24, 32, 48, 64, 96}
+
+// TrainConfig controls model training.
+type TrainConfig struct {
+	// Alpha is the K-S significance level (1 - confidence). The paper
+	// uses the 99% confidence level, i.e. 0.01.
+	Alpha float64
 	// Workers bounds the worker pool that builds region models (reference
 	// sets, modes and the leave-one-out group-size sweep run per region,
 	// fanned out on internal/par). Zero selects the process-wide default
@@ -59,36 +63,13 @@ type TrainConfig struct {
 
 // DefaultTrainConfig returns the paper-equivalent training configuration.
 func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{
-		Alpha:          0.01,
-		GroupSizes:     []int{4, 6, 8, 12, 16, 24, 32, 48, 64, 96},
-		MaxPeakRanks:   10,
-		MinWindows:     24,
-		RejectFraction: 0.35,
-		FRRTolerance:   0.01,
-		PowerTargetD:   0.35,
-		ShiftFraction:  0.03,
-	}
+	return TrainConfig{Alpha: 0.01}
 }
 
 // Validate checks the training configuration.
 func (tc TrainConfig) Validate() error {
 	if tc.Alpha <= 0 || tc.Alpha >= 1 {
 		return fmt.Errorf("core: alpha must be in (0,1), got %g", tc.Alpha)
-	}
-	if len(tc.GroupSizes) == 0 {
-		return fmt.Errorf("core: no candidate group sizes")
-	}
-	for _, n := range tc.GroupSizes {
-		if n < 2 {
-			return fmt.Errorf("core: group size candidates must be >= 2, got %d", n)
-		}
-	}
-	if tc.MaxPeakRanks <= 0 {
-		return fmt.Errorf("core: MaxPeakRanks must be positive, got %d", tc.MaxPeakRanks)
-	}
-	if tc.RejectFraction < 0 || tc.RejectFraction >= 1 {
-		return fmt.Errorf("core: RejectFraction must be in [0,1), got %g", tc.RejectFraction)
 	}
 	return nil
 }
@@ -156,12 +137,12 @@ func Train(programName string, machine *cfg.Machine, runs [][]STS, tc TrainConfi
 	built := make([]*RegionModel, len(ids))
 	if err := par.Do(len(ids), tc.Workers, func(i int) error {
 		rd := perRegion[ids[i]]
-		if len(rd.all) < tc.MinWindows {
+		if len(rd.all) < minTrainWindows {
 			return nil
 		}
-		rm := buildRegionModel(ids[i], machine, rd.all, tc)
+		rm := buildRegionModel(ids[i], machine, rd.all)
 		buildModes(rm, rd.seqs)
-		rm.GroupSize = selectGroupSize(rm, rd.seqs, tc, cAlpha)
+		rm.GroupSize = selectGroupSize(rm, rd.seqs, cAlpha)
 		built[i] = rm
 		return nil
 	}); err != nil {
@@ -178,7 +159,7 @@ func Train(programName string, machine *cfg.Machine, runs [][]STS, tc TrainConfi
 		model.Regions[id] = rm
 	}
 	if len(model.Regions) == 0 {
-		return nil, fmt.Errorf("core: training produced no region models for %q (no region had >= %d windows)", programName, tc.MinWindows)
+		return nil, fmt.Errorf("core: training produced no region models for %q (no region had >= %d windows)", programName, minTrainWindows)
 	}
 	return model, nil
 }
@@ -197,7 +178,7 @@ type regionData struct {
 
 // buildRegionModel derives the peak-rank count and reference sets of one
 // region from its training windows.
-func buildRegionModel(id cfg.RegionID, machine *cfg.Machine, windows []STS, tc TrainConfig) *RegionModel {
+func buildRegionModel(id cfg.RegionID, machine *cfg.Machine, windows []STS) *RegionModel {
 	// NumPeaks: the median peak count of the region's STSs, capped.
 	counts := make([]int, len(windows))
 	for i := range windows {
@@ -205,8 +186,8 @@ func buildRegionModel(id cfg.RegionID, machine *cfg.Machine, windows []STS, tc T
 	}
 	sort.Ints(counts)
 	numPeaks := counts[len(counts)/2]
-	if numPeaks > tc.MaxPeakRanks {
-		numPeaks = tc.MaxPeakRanks
+	if numPeaks > maxPeakRanks {
+		numPeaks = maxPeakRanks
 	}
 	label := fmt.Sprintf("R%d", id)
 	if r := machine.Region(id); r != nil {
@@ -295,13 +276,8 @@ func buildModes(rm *RegionModel, seqs []taggedSeq) {
 // selectGroupSize implements §4.3: apply the K-S test to training-time
 // STSs with each candidate n and pick the smallest n whose false-rejection
 // rate matches the minimum observed across the grid.
-func selectGroupSize(rm *RegionModel, seqs []taggedSeq, tc TrainConfig, cAlpha float64) int {
-	minCandidate := tc.GroupSizes[0]
-	for _, n := range tc.GroupSizes[1:] {
-		if n < minCandidate {
-			minCandidate = n
-		}
-	}
+func selectGroupSize(rm *RegionModel, seqs []taggedSeq, cAlpha float64) int {
+	minCandidate := groupSizeGrid[0]
 	if rm.Blind() {
 		return minCandidate
 	}
@@ -311,8 +287,6 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, tc TrainConfig, cAlpha f
 		// the visit-length median below would index an empty slice.
 		return minCandidate
 	}
-	sizes := append([]int(nil), tc.GroupSizes...)
-	sort.Ints(sizes)
 
 	// Cap n at the region's typical contiguous visit length: a group
 	// larger than one visit necessarily mixes regions and would reject
@@ -327,45 +301,42 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, tc TrainConfig, cAlpha f
 		capN = minCandidate
 	}
 
-	// Floor n so the K-S critical value can actually detect a shift of
-	// PowerTargetD: c(alpha)*sqrt((m+n)/(m*n)) <= D* solved for n, with m
-	// the typical per-mode reference size (each monitored group is tested
-	// against individual training-run modes, not the pooled reference).
-	floor := minCandidate
-	if tc.PowerTargetD > 0 {
-		modeSizes := make([]int, 0, len(rm.Modes))
-		for _, mode := range rm.Modes {
-			if len(mode.Ref) > 0 {
-				modeSizes = append(modeSizes, len(mode.Ref[0]))
-			}
+	// Floor n so the K-S critical value can actually detect the region's
+	// shift distance: c(alpha)*sqrt((m+n)/(m*n)) <= D* solved for n, with
+	// m the typical per-mode reference size (each monitored group is
+	// tested against individual training-run modes, not the pooled
+	// reference).
+	modeSizes := make([]int, 0, len(rm.Modes))
+	for _, mode := range rm.Modes {
+		if len(mode.Ref) > 0 {
+			modeSizes = append(modeSizes, len(mode.Ref[0]))
 		}
-		m := float64(rm.TrainWindows)
-		if len(modeSizes) > 0 {
-			sort.Ints(modeSizes)
-			m = float64(modeSizes[len(modeSizes)/2])
+	}
+	m := float64(rm.TrainWindows)
+	if len(modeSizes) > 0 {
+		sort.Ints(modeSizes)
+		m = float64(modeSizes[len(modeSizes)/2])
+	}
+	d := powerTargetD
+	if ds := detectableShiftD(rm, shiftFraction); ds > 0 {
+		// Clamp: even razor-sharp references keep a safety margin
+		// (d <= 0.6 -> n >= ~8) and hopelessly diffuse ones don't
+		// drive n to absurd sizes on their own (the visit-length
+		// cap below has the final word anyway).
+		if ds > 0.6 {
+			ds = 0.6
 		}
-		d := tc.PowerTargetD
-		if tc.ShiftFraction > 0 {
-			if ds := detectableShiftD(rm, tc.ShiftFraction); ds > 0 {
-				// Clamp: even razor-sharp references keep a safety margin
-				// (d <= 0.6 -> n >= ~8) and hopelessly diffuse ones don't
-				// drive n to absurd sizes on their own (the visit-length
-				// cap below has the final word anyway).
-				if ds > 0.6 {
-					ds = 0.6
-				}
-				if ds < 0.15 {
-					ds = 0.15
-				}
-				d = ds
-			}
+		if ds < 0.15 {
+			ds = 0.15
 		}
-		den := d*d - cAlpha*cAlpha/m
-		if den <= 0 {
-			floor = capN // unreachable power; take what the region allows
-		} else {
-			floor = int(cAlpha*cAlpha/den) + 1
-		}
+		d = ds
+	}
+	var floor int
+	den := d*d - cAlpha*cAlpha/m
+	if den <= 0 {
+		floor = capN // unreachable power; take what the region allows
+	} else {
+		floor = int(cAlpha*cAlpha/den) + 1
 	}
 	if floor > capN {
 		floor = capN
@@ -376,7 +347,7 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, tc TrainConfig, cAlpha f
 		frr float64
 	}
 	var cands []cand
-	maxN := maxInts(sizes) + capN
+	maxN := groupSizeGrid[len(groupSizeGrid)-1] + capN
 	g := newGroupSet(rm.NumPeaks, maxN)
 	// Leave-one-out mode sets, cached per run.
 	looCache := map[int][]RegionMode{}
@@ -396,7 +367,7 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, tc TrainConfig, cAlpha f
 		looCache[run] = out
 		return out
 	}
-	for _, n := range sizes {
+	for _, n := range groupSizeGrid {
 		if n < floor || n > capN {
 			continue
 		}
@@ -427,7 +398,7 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, tc TrainConfig, cAlpha f
 				// Same decision rule as the monitor, against the modes of
 				// the *other* runs (leave-one-out), so the sweep measures
 				// generalization rather than self-match.
-				res := evalGroups(rm, modes, &g, tc.RejectFraction, cAlpha, 0, nil)
+				res := evalGroups(rm, modes, &g, trainRejectFraction, cAlpha, 0, nil)
 				if res.rejected {
 					rejected++
 				}
@@ -451,7 +422,7 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, tc TrainConfig, cAlpha f
 	}
 	best := cands[len(cands)-1].n
 	for _, c := range cands {
-		if c.frr <= minFRR+tc.FRRTolerance {
+		if c.frr <= minFRR+frrTolerance {
 			best = c.n
 			break // candidates are in ascending n order
 		}
@@ -489,14 +460,4 @@ func detectableShiftD(rm *RegionModel, gamma float64) float64 {
 	}
 	sort.Float64s(ds)
 	return ds[len(ds)/2]
-}
-
-func maxInts(xs []int) int {
-	m := 0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

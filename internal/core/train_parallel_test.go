@@ -23,17 +23,12 @@ func TestSelectGroupSizeEmptySeqs(t *testing.T) {
 		TrainWindows: 3,
 	}
 	cAlpha := stats.KolmogorovInverse(1 - tc.Alpha)
-	got := selectGroupSize(rm, nil, tc, cAlpha)
-	want := tc.GroupSizes[0]
-	for _, n := range tc.GroupSizes {
-		if n < want {
-			want = n
-		}
-	}
+	got := selectGroupSize(rm, nil, cAlpha)
+	want := groupSizeGrid[0] // the grid is ascending
 	if got != want {
 		t.Errorf("selectGroupSize with empty seqs = %d, want minimum candidate %d", got, want)
 	}
-	if got2 := selectGroupSize(rm, []taggedSeq{}, tc, cAlpha); got2 != want {
+	if got2 := selectGroupSize(rm, []taggedSeq{}, cAlpha); got2 != want {
 		t.Errorf("selectGroupSize with zero-length seqs = %d, want %d", got2, want)
 	}
 }

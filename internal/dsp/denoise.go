@@ -29,10 +29,6 @@ type DenoiseConfig struct {
 	// the projection plus 1/Stride of a factorization. Zero means
 	// Block/4 (minimum 1).
 	Stride int
-	// PowerIters and Oversample tune the randomized SVD (see RSVDConfig).
-	// Zeros mean 1 and 4.
-	PowerIters int
-	Oversample int
 	// Seed seeds the factorization sketches. Each refactorization mixes
 	// the seed with its ordinal, so a denoiser's output is a pure
 	// function of (config, column sequence) — reproducible at any worker
@@ -81,12 +77,6 @@ func (c DenoiseConfig) Validate() error {
 	if c.Stride < 1 || c.Stride > c.Block {
 		return fmt.Errorf("dsp: denoise stride %d outside [1, block=%d]", c.Stride, c.Block)
 	}
-	if c.PowerIters < 0 {
-		return fmt.Errorf("dsp: denoise power iterations %d < 0", c.PowerIters)
-	}
-	if c.Oversample < 0 {
-		return fmt.Errorf("dsp: denoise oversample %d < 0", c.Oversample)
-	}
 	return nil
 }
 
@@ -134,12 +124,9 @@ func NewDenoiser(cfg DenoiseConfig, bins int) (*Denoiser, error) {
 	if rank > cfg.Block {
 		rank = cfg.Block
 	}
-	rs, err := NewRSVD(RSVDConfig{
-		Rank:       rank,
-		Oversample: cfg.Oversample,
-		PowerIters: cfg.PowerIters,
-		Seed:       cfg.Seed,
-	})
+	// The randomized SVD runs at its default oversampling and power
+	// iterations.
+	rs, err := NewRSVD(RSVDConfig{Rank: rank, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func TestDenoiseConfigValidate(t *testing.T) {
 		{Rank: 4},           // all defaults
 		{Rank: 1, Block: 2}, // minimal
 		{Rank: 8, Block: 64, Stride: 64},
-		{Rank: 3, Block: 16, Stride: 1, PowerIters: 2, Oversample: 8, Seed: 9},
+		{Rank: 3, Block: 16, Stride: 1, Seed: 9},
 	}
 	for _, c := range ok {
 		if err := c.Validate(); err != nil {
@@ -59,8 +59,6 @@ func TestDenoiseConfigValidate(t *testing.T) {
 		{Rank: 2, Block: -4},
 		{Rank: 2, Block: 8, Stride: 9},
 		{Rank: 2, Block: 8, Stride: -1},
-		{Rank: 2, PowerIters: -1},
-		{Rank: 2, Oversample: -1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -272,7 +272,7 @@ func TestFindPeaksEnergyThreshold(t *testing.T) {
 	}
 }
 
-func TestFindPeaksOrderingAndCap(t *testing.T) {
+func TestFindPeaksOrdering(t *testing.T) {
 	frame := Frame{Power: make([]float64, 129)}
 	frame.Power[10] = 100
 	frame.Power[40] = 400
@@ -283,10 +283,6 @@ func TestFindPeaksOrderingAndCap(t *testing.T) {
 	}
 	if peaks[0].Bin != 40 || peaks[1].Bin != 70 || peaks[2].Bin != 10 {
 		t.Errorf("wrong order: %v", peaks)
-	}
-	capped := FindPeaks(&frame, PeakConfig{MinEnergyFraction: 0.01, MaxPeaks: 2}, func(b int) float64 { return float64(b) })
-	if len(capped) != 2 || capped[0].Bin != 40 {
-		t.Errorf("cap failed: %v", capped)
 	}
 }
 

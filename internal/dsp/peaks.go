@@ -22,16 +22,13 @@ type PeakConfig struct {
 	// defines a peak as a frequency holding at least 1% of the window's
 	// signal energy.
 	MinEnergyFraction float64
-	// MaxPeaks caps the number of peaks returned (strongest first).
-	// Zero means no cap.
-	MaxPeaks int
 	// MinBin excludes bins below this index (DC and near-DC leakage).
 	// If zero, bin 1 is the first candidate (DC itself is always skipped).
 	MinBin int
 }
 
 // DefaultPeakConfig mirrors the paper: peaks are frequencies holding >=1%
-// of the window's energy, with no cap on the peak count.
+// of the window's energy.
 func DefaultPeakConfig() PeakConfig {
 	return PeakConfig{MinEnergyFraction: 0.01}
 }
@@ -101,9 +98,6 @@ func FindPeaksInto(dst []Peak, frame *Frame, cfg PeakConfig, binHz func(int) flo
 		})
 	}
 	sortPeaks(peaks)
-	if cfg.MaxPeaks > 0 && len(peaks) > cfg.MaxPeaks {
-		peaks = peaks[:cfg.MaxPeaks]
-	}
 	return peaks
 }
 

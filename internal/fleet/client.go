@@ -15,14 +15,13 @@ import (
 // back. It doubles as the reference implementation of the protocol for
 // third-party device firmware.
 type Client struct {
-	conn     net.Conn
-	br       *bufio.Reader
-	bw       *bufio.Writer
-	maxFrame int
-	timeout  time.Duration
-	welcome  Welcome
-	reports  []Report
-	closed   bool
+	conn    net.Conn
+	br      *bufio.Reader
+	bw      *bufio.Writer
+	timeout time.Duration
+	welcome Welcome
+	reports []Report
+	closed  bool
 }
 
 // DialTimeout is the default per-operation client deadline.
@@ -42,9 +41,6 @@ type ClientConfig struct {
 	// Send, and each Finish read. Zero means the resolved dial timeout;
 	// negative disables I/O deadlines entirely.
 	IOTimeout time.Duration
-	// MaxFrameBytes caps inbound frames. Zero means
-	// DefaultMaxFrameBytes.
-	MaxFrameBytes int
 	// MaxRedirects caps how many FrameRedirect hops one dial follows
 	// before giving up (a coordinator normally answers with exactly
 	// one). Zero means 4; negative refuses redirects entirely — the
@@ -74,9 +70,6 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 	}
 	if cfg.IOTimeout == 0 {
 		cfg.IOTimeout = cfg.DialTimeout
-	}
-	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = DefaultMaxFrameBytes
 	}
 	if cfg.MaxRedirects == 0 {
 		cfg.MaxRedirects = 4
@@ -155,11 +148,10 @@ func dialHops(addr string, hello Hello, cfg ClientConfig) (*Client, error) {
 			return nil, retryableError{err}
 		}
 		c := &Client{
-			conn:     conn,
-			br:       bufio.NewReaderSize(conn, 1<<16),
-			bw:       bufio.NewWriterSize(conn, 1<<16),
-			maxFrame: cfg.MaxFrameBytes,
-			timeout:  cfg.IOTimeout,
+			conn:    conn,
+			br:      bufio.NewReaderSize(conn, 1<<16),
+			bw:      bufio.NewWriterSize(conn, 1<<16),
+			timeout: cfg.IOTimeout,
 		}
 		conn.SetDeadline(c.opDeadline())
 		if err := writeFrame(c.bw, FrameHello, mustJSON(hello)); err != nil {
@@ -170,7 +162,7 @@ func dialHops(addr string, hello Hello, cfg ClientConfig) (*Client, error) {
 			conn.Close()
 			return nil, retryableError{err}
 		}
-		typ, payload, err := readFrame(c.br, c.maxFrame)
+		typ, payload, err := readFrame(c.br, DefaultMaxFrameBytes)
 		if err != nil {
 			conn.Close()
 			return nil, retryableError{fmt.Errorf("fleet: reading welcome: %w", err)}
@@ -213,7 +205,7 @@ func (c *Client) Send(samples []float64) error {
 	if c.closed {
 		return errors.New("fleet: client closed")
 	}
-	maxPer := c.maxFrame / 8
+	maxPer := DefaultMaxFrameBytes / 8
 	c.conn.SetWriteDeadline(c.opDeadline())
 	for len(samples) > 0 {
 		n := len(samples)
@@ -245,7 +237,7 @@ func (c *Client) Finish() (Summary, []Report, error) {
 	}
 	for {
 		c.conn.SetReadDeadline(c.opDeadline())
-		typ, payload, err := readFrame(c.br, c.maxFrame)
+		typ, payload, err := readFrame(c.br, DefaultMaxFrameBytes)
 		if err != nil {
 			return sum, c.reports, fmt.Errorf("fleet: awaiting summary: %w", err)
 		}

@@ -15,6 +15,9 @@ import (
 	"eddie/internal/stream"
 )
 
+// writeTimeout bounds each outbound frame write.
+const writeTimeout = 10 * time.Second
+
 // Config configures a fleet server.
 type Config struct {
 	// Models resolves workload names from session hellos to trained
@@ -41,11 +44,6 @@ type Config struct {
 	// IdleTimeout is the per-frame read deadline: a session that sends
 	// nothing for this long is torn down. Zero means 30s.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each outbound frame write. Zero means 10s.
-	WriteTimeout time.Duration
-	// MaxFrameBytes caps one frame's payload. Zero means
-	// DefaultMaxFrameBytes.
-	MaxFrameBytes int
 	// MaxPendingSamples is the per-session backpressure cap: when a
 	// session has this many decoded samples waiting for the detector,
 	// its reader stops draining the socket until the detector catches
@@ -56,9 +54,6 @@ type Config struct {
 	// history (stream.Config.MaxHistoryWindows). Zero means 4096;
 	// negative keeps unbounded history (offline semantics).
 	MaxHistoryWindows int
-	// FlightDepth is each session's flight-recorder depth. Zero means
-	// the obs default; negative disables per-session flight recorders.
-	FlightDepth int
 	// Registry receives fleet-wide and per-device counters. Nil creates
 	// a private registry (exposed via Server.Registry).
 	Registry *metrics.Registry
@@ -91,12 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = DefaultMaxFrameBytes
 	}
 	if c.MaxPendingSamples <= 0 {
 		c.MaxPendingSamples = 1 << 20
@@ -292,7 +281,7 @@ func (s *Server) admit(conn net.Conn) bool {
 
 // refuse sends a best-effort error frame and closes the connection.
 func (s *Server) refuse(conn net.Conn, why string) {
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	writeFrame(conn, FrameError, mustJSON(ErrorInfo{Error: "fleet: " + why}))
 	conn.Close()
 }
@@ -537,15 +526,9 @@ func (s *Server) SessionsPage(offset, limit int) (page []SessionInfo, total, act
 	return page, total, active
 }
 
-// FleetSessions implements obs.SessionLister for the /eddie/fleet debug
-// endpoint: the first listing page plus fleet-level state.
-func (s *Server) FleetSessions() any {
-	out, _, _ := s.FleetSessionsPage(0, DefaultSessionPageLimit)
-	return out
-}
-
-// FleetSessionsPage implements obs.SessionPager: one listing page with
-// totals for the paging headers.
+// FleetSessionsPage implements obs.SessionPager for the /eddie/fleet
+// debug endpoint: one listing page plus fleet-level state, with totals
+// for the paging headers.
 func (s *Server) FleetSessionsPage(offset, limit int) (any, int, int) {
 	page, total, active := s.SessionsPage(offset, limit)
 	s.mu.Lock()

@@ -493,7 +493,7 @@ func TestFleetStressConcurrentSessions(t *testing.T) {
 			default:
 			}
 			s.Sessions()
-			s.FleetSessions()
+			s.FleetSessionsPage(0, DefaultSessionPageLimit)
 			s.Registry().WritePrometheus(io.Discard, "eddie")
 			time.Sleep(time.Millisecond)
 		}

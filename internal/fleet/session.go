@@ -192,7 +192,7 @@ func (ss *session) run() {
 // assigns the session to its shard. Failures answer with a FrameError.
 func (ss *session) handshake() bool {
 	ss.conn.SetReadDeadline(time.Now().Add(ss.s.cfg.IdleTimeout))
-	typ, payload, err := readFrame(ss.br, ss.s.cfg.MaxFrameBytes)
+	typ, payload, err := readFrame(ss.br, DefaultMaxFrameBytes)
 	if err != nil {
 		ss.abort(fmt.Sprintf("reading hello: %v", err))
 		return false
@@ -254,12 +254,8 @@ func (ss *session) handshake() bool {
 	if hello.DisableDCBlock {
 		cfg.DisableDCBlock = true
 	}
-	if ss.s.cfg.FlightDepth >= 0 {
-		ss.flight = obs.NewFlightRecorder(ss.s.cfg.FlightDepth)
-		cfg.Flight = ss.flight
-	} else {
-		cfg.Flight = nil
-	}
+	ss.flight = obs.NewFlightRecorder(0)
+	cfg.Flight = ss.flight
 	det, err := stream.NewDetector(model, cfg)
 	if err != nil {
 		ss.abort(fmt.Sprintf("creating detector: %v", err))
@@ -339,7 +335,7 @@ func (ss *session) serveControl(typ byte, payload []byte) {
 			return
 		}
 		var err error
-		typ, payload, ss.readBuf, err = readFrameInto(ss.br, ss.s.cfg.MaxFrameBytes, ss.readBuf)
+		typ, payload, ss.readBuf, err = readFrameInto(ss.br, DefaultMaxFrameBytes, ss.readBuf)
 		if err != nil {
 			return
 		}
@@ -374,7 +370,7 @@ func (ss *session) read() {
 			ss.finishRead("", false)
 			return
 		}
-		typ, payload, scratch, err := readFrameInto(ss.br, ss.s.cfg.MaxFrameBytes, ss.readBuf)
+		typ, payload, scratch, err := readFrameInto(ss.br, DefaultMaxFrameBytes, ss.readBuf)
 		ss.readBuf = scratch
 		if err != nil {
 			if ss.drainRequested() {
@@ -587,15 +583,6 @@ func (ss *session) feedBatch() bool {
 		ss.s.cReports.Inc()
 		ss.lastWindow.Store(int64(r.Window))
 		ss.lastTime.Store(math.Float64bits(r.TimeSec))
-		if ss.flight == nil {
-			// No flight recorder (FlightDepth < 0), so the SetOnAlarm hook
-			// never fires: journal and stream a dump-less alarm event here
-			// so the alarm record stays complete either way.
-			ss.publishAlarmEvent(&obs.JournalEvent{
-				Type:   "alarm",
-				Detail: fmt.Sprintf("window %d region %d t=%.3fs", r.Window, int(r.Region), r.TimeSec),
-			})
-		}
 		ev := Report{
 			Device:  ss.device,
 			Session: ss.id,
@@ -739,7 +726,7 @@ func (ss *session) writeFrame(typ byte, payload []byte) error {
 	if ss.conn == nil {
 		return nil
 	}
-	ss.conn.SetWriteDeadline(time.Now().Add(ss.s.cfg.WriteTimeout))
+	ss.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return writeFrame(ss.conn, typ, payload)
 }
 

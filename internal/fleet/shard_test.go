@@ -8,6 +8,7 @@ import (
 	"eddie/internal/core"
 	"eddie/internal/dsp"
 	"eddie/internal/metrics"
+	"eddie/internal/obs"
 	"eddie/internal/pipeline"
 	"eddie/internal/pipeline/pipetest"
 	"eddie/internal/stream"
@@ -102,6 +103,9 @@ func detachedSession(tb testing.TB) (*session, []float64) {
 	srv.cBackpress = reg.Counter("fleet_backpressure_stalls")
 	srv.cReports = reg.Counter("fleet_reports")
 
+	// A flight recorder as in handshake: every session has one, and
+	// its alarm hook is the only path that publishes a report's alarm.
+	flight := obs.NewFlightRecorder(0)
 	det, err := stream.NewDetector(f.Model, stream.Config{
 		STFT:  f.Config.STFT,
 		Peaks: f.Config.Peaks,
@@ -113,6 +117,7 @@ func detachedSession(tb testing.TB) (*session, []float64) {
 		DisableDCBlock:    true,
 		MaxHistoryWindows: 256,
 		Metrics:           metrics.NewDetectorWith(reg),
+		Flight:            flight,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -122,6 +127,8 @@ func detachedSession(tb testing.TB) (*session, []float64) {
 	}
 	ss := newSession(srv, 1, nil)
 	ss.det = det
+	ss.flight = flight
+	flight.SetOnAlarm(ss.publishAlarm)
 	ss.device, ss.workload = "dev-detached", "w"
 	ss.dSamples = reg.Counter("fleet_device_samples/dev-detached")
 	ss.dWindows = reg.Counter("fleet_device_windows/dev-detached")

@@ -146,28 +146,29 @@ func NewFlightRecorder(depth int) *FlightRecorder {
 }
 
 // Record buffers one window's provenance. The record is deep-copied
-// (the monitor reuses its scratch record and slices across windows).
-// Safe on a nil recorder.
+// (the monitor reuses its scratch record and slices across windows)
+// into the ring slot's own slices, so once the ring has wrapped a
+// record costs no allocation. Safe on a nil recorder.
 func (f *FlightRecorder) Record(rec *WindowRecord) {
 	if f == nil {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cp := *rec
-	cp.Ranks = append([]RankKS(nil), rec.Ranks...)
-	cp.RejectedRanks = append([]int(nil), rec.RejectedRanks...)
 	if len(f.ring) < f.depth {
-		f.ring = append(f.ring, cp)
-	} else {
-		f.ring[f.seen%f.depth] = cp
+		f.ring = append(f.ring, WindowRecord{})
 	}
+	slot := &f.ring[f.seen%f.depth]
+	ranks, rejected := slot.Ranks[:0], slot.RejectedRanks[:0]
+	*slot = *rec
+	slot.Ranks = append(ranks, rec.Ranks...)
+	slot.RejectedRanks = append(rejected, rec.RejectedRanks...)
 	f.seen++
 }
 
-// recentLocked returns the buffered records oldest-first. Caller holds
-// f.mu. Stored records own their slices and are never mutated in place,
-// so sharing their backing arrays with the snapshot is safe.
+// recentLocked returns deep copies of the buffered records,
+// oldest-first. Caller holds f.mu. The ring's slices are reused by later
+// records, so a snapshot must not share them; empty slices copy as nil.
 func (f *FlightRecorder) recentLocked() []WindowRecord {
 	out := make([]WindowRecord, 0, len(f.ring))
 	start := 0
@@ -175,7 +176,10 @@ func (f *FlightRecorder) recentLocked() []WindowRecord {
 		start = f.seen % f.depth
 	}
 	for i := 0; i < len(f.ring); i++ {
-		out = append(out, f.ring[(start+i)%len(f.ring)])
+		r := f.ring[(start+i)%len(f.ring)]
+		r.Ranks = append([]RankKS(nil), r.Ranks...)
+		r.RejectedRanks = append([]int(nil), r.RejectedRanks...)
+		out = append(out, r)
 	}
 	return out
 }

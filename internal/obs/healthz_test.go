@@ -9,14 +9,15 @@ import (
 
 // fakeFleetHealth implements FleetHealth for handler tests.
 type fakeFleetHealth struct {
-	SessionLister
 	draining    bool
 	active, max int
 }
 
 func (f *fakeFleetHealth) Draining() bool             { return f.draining }
 func (f *fakeFleetHealth) ActiveSessions() (int, int) { return f.active, f.max }
-func (f *fakeFleetHealth) FleetSessions() any         { return []any{} }
+func (f *fakeFleetHealth) FleetSessionsPage(int, int) (any, int, int) {
+	return []any{}, 0, 0
+}
 
 func getHealthz(t *testing.T, s ServeState) (int, map[string]any) {
 	t.Helper()

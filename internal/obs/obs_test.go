@@ -199,6 +199,60 @@ func TestFlightRecorderRing(t *testing.T) {
 			t.Errorf("recent[%d].RejectedRanks = %v, want [%d]", i, rec[i].RejectedRanks, want)
 		}
 	}
+	// The ring reuses its slots' slices for later records; a snapshot
+	// taken earlier must not change.
+	for i := 5; i < 8; i++ {
+		scratch.Ranks = append(scratch.Ranks[:0], RankKS{Rank: i})
+		scratch.RejectedRanks = append(scratch.RejectedRanks[:0], i)
+		f.Record(&scratch)
+	}
+	for i, want := range []int{2, 3, 4} {
+		if len(rec[i].Ranks) != 1 || rec[i].Ranks[0].Rank != want ||
+			len(rec[i].RejectedRanks) != 1 || rec[i].RejectedRanks[0] != want {
+			t.Errorf("snapshot record %d changed after later records: %+v", i, rec[i])
+		}
+	}
+}
+
+// TestFlightRecorderConcurrentSnapshots records from one goroutine while
+// another snapshots the ring, as a served recorder does (run it under
+// -race).
+func TestFlightRecorderConcurrentSnapshots(t *testing.T) {
+	f := NewFlightRecorder(4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rec := WindowRecord{}
+		for i := 0; i < 2000; i++ {
+			rec.Window = i
+			rec.Ranks = append(rec.Ranks[:0], RankKS{Rank: i})
+			rec.RejectedRanks = append(rec.RejectedRanks[:0], i)
+			f.Record(&rec)
+			if i%100 == 99 {
+				f.Alarm(i, 0, 0, 0, rec.RejectedRanks)
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		for _, r := range f.Recent() {
+			if len(r.Ranks) != 1 || r.Ranks[0].Rank != r.Window ||
+				len(r.RejectedRanks) != 1 || r.RejectedRanks[0] != r.Window {
+				t.Fatalf("torn record %+v", r)
+			}
+		}
+		if a := f.LastAlarm(); a != nil {
+			for _, r := range a.Records {
+				if len(r.Ranks) != 1 || r.Ranks[0].Rank != r.Window {
+					t.Fatalf("torn alarm record %+v", r)
+				}
+			}
+		}
+	}
 }
 
 func TestFlightRecorderDefaultDepth(t *testing.T) {

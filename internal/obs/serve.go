@@ -17,18 +17,11 @@ type PromWriter interface {
 	WritePrometheus(w io.Writer, namespace string)
 }
 
-// SessionLister exposes a live listing of detector sessions; the fleet
-// server implements it (obs stays stdlib-only by depending on the
-// interface rather than the fleet package).
-type SessionLister interface {
-	FleetSessions() any
-}
-
-// SessionPager is the paged variant of SessionLister for fleets too
-// large to dump in one response. FleetSessionsPage returns one listing
-// page plus the listing total and live-session count (surfaced as
-// response headers). The fleet server implements it; a plain
-// SessionLister still works, minus paging.
+// SessionPager exposes a paged live listing of detector sessions.
+// FleetSessionsPage returns one listing page plus the listing total and
+// live-session count (surfaced as response headers). The fleet server
+// and the coordinator implement it (obs stays stdlib-only by depending
+// on the interface rather than the fleet package).
 type SessionPager interface {
 	FleetSessionsPage(offset, limit int) (page any, total, active int)
 }
@@ -53,7 +46,7 @@ type ServeState struct {
 	// Trace serves /eddie/trace (a live Chrome trace snapshot).
 	Trace *Recorder
 	// Fleet serves /eddie/fleet (the live device-session listing).
-	Fleet SessionLister
+	Fleet SessionPager
 	// Health serves /eddie/healthz (the SLO burn-rate verdict).
 	Health *SLOTracker
 	// Alarms serves /eddie/alarms (live alarm SSE streaming).
@@ -155,11 +148,6 @@ func NewMux(s ServeState) *http.ServeMux {
 			http.Error(w, "no fleet server attached", http.StatusNotFound)
 			return
 		}
-		pager, ok := s.Fleet.(SessionPager)
-		if !ok {
-			writeJSON(w, s.Fleet.FleetSessions())
-			return
-		}
 		offset, err := queryInt(r, "offset", 0)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -177,7 +165,7 @@ func NewMux(s ServeState) *http.ServeMux {
 		if limit > MaxFleetPageLimit {
 			limit = MaxFleetPageLimit
 		}
-		page, total, active := pager.FleetSessionsPage(offset, limit)
+		page, total, active := s.Fleet.FleetSessionsPage(offset, limit)
 		w.Header().Set("X-Eddie-Fleet-Total", strconv.Itoa(total))
 		w.Header().Set("X-Eddie-Fleet-Active", strconv.Itoa(active))
 		writeJSON(w, page)

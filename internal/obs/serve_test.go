@@ -125,12 +125,12 @@ func TestMuxFullState(t *testing.T) {
 	}
 }
 
-// stubFleet is a minimal SessionLister (the real one is the fleet
-// server, which obs must not import).
+// stubFleet is a minimal SessionPager (the real ones are the fleet
+// server and the coordinator, which obs must not import).
 type stubFleet struct{}
 
-func (stubFleet) FleetSessions() any {
-	return map[string]any{"active": 3, "max": 16, "draining": false}
+func (stubFleet) FleetSessionsPage(offset, limit int) (any, int, int) {
+	return map[string]any{"active": 3, "max": 16, "draining": false}, 3, 3
 }
 
 func TestMuxFleetListing(t *testing.T) {
@@ -159,11 +159,6 @@ func TestMuxFleetListing(t *testing.T) {
 type stubPagedFleet struct {
 	total, active       int
 	gotOffset, gotLimit int
-}
-
-func (s *stubPagedFleet) FleetSessions() any {
-	page, _, _ := s.FleetSessionsPage(0, DefaultFleetPageLimit)
-	return page
 }
 
 func (s *stubPagedFleet) FleetSessionsPage(offset, limit int) (any, int, int) {

@@ -19,25 +19,31 @@ const (
 	HealthDraining = "draining"
 )
 
+// The SLO's fixed shape.
+const (
+	// sloObjective is the target fraction of events inside the budget.
+	sloObjective = 0.99
+	// sloSlotLen is the ring granularity.
+	sloSlotLen = 5 * time.Second
+	// sloDegradedBurn is the burn-rate threshold for the degraded
+	// verdict. Burn rate 1 means the error budget is being consumed
+	// exactly as fast as the objective allows.
+	sloDegradedBurn = 1
+)
+
 // SLOConfig configures a latency SLO burn-rate tracker.
 type SLOConfig struct {
 	// Budget is the per-event latency budget (default 500ms — the p99
 	// frame-to-verdict bound from BENCH_fleet.json).
 	Budget time.Duration
-	// Objective is the target fraction of events inside Budget
-	// (default 0.99).
-	Objective float64
-	// Slot is the ring granularity (default 5s).
-	Slot time.Duration
 	// ShortWindow / LongWindow are the two burn-rate horizons
-	// (defaults 5m / 1h). LongWindow must be a multiple of Slot and
-	// at least ShortWindow.
+	// (defaults 5m / 1h). LongWindow should be a multiple of the 5s
+	// slot and is raised to at least ShortWindow.
 	ShortWindow, LongWindow time.Duration
-	// DegradedBurn / OverloadBurn are the short-window burn-rate
-	// thresholds for the degraded and overloaded verdicts (defaults
-	// 1 and 10). Burn rate 1 means the error budget is being consumed
-	// exactly as fast as the objective allows.
-	DegradedBurn, OverloadBurn float64
+	// OverloadBurn is the short-window burn-rate threshold for the
+	// overloaded verdict. Values at or below the degraded threshold
+	// (burn 1) mean 10.
+	OverloadBurn float64
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
@@ -45,12 +51,6 @@ type SLOConfig struct {
 func (c SLOConfig) withDefaults() SLOConfig {
 	if c.Budget <= 0 {
 		c.Budget = 500 * time.Millisecond
-	}
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = 0.99
-	}
-	if c.Slot <= 0 {
-		c.Slot = 5 * time.Second
 	}
 	if c.ShortWindow <= 0 {
 		c.ShortWindow = 5 * time.Minute
@@ -61,11 +61,8 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	if c.LongWindow < c.ShortWindow {
 		c.LongWindow = c.ShortWindow
 	}
-	if c.DegradedBurn <= 0 {
-		c.DegradedBurn = 1
-	}
-	if c.OverloadBurn <= c.DegradedBurn {
-		c.OverloadBurn = 10 * c.DegradedBurn
+	if c.OverloadBurn <= sloDegradedBurn {
+		c.OverloadBurn = 10
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -83,7 +80,7 @@ type sloSlot struct {
 
 // SLOTracker measures a latency SLO as multi-window burn rates, the
 // SRE-workbook alerting scheme: each recorded event is good (within
-// Budget) or bad, counts land in a ring of Slot-sized time slots, and
+// Budget) or bad, counts land in a ring of 5s time slots, and
 // Health compares the short- and long-window bad fractions against the
 // objective's error budget. A nil *SLOTracker no-ops. Record holds a
 // mutex for a few adds — cheap enough for every frame-to-verdict
@@ -97,7 +94,7 @@ type SLOTracker struct {
 // NewSLOTracker creates a tracker (see SLOConfig for defaults).
 func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	cfg = cfg.withDefaults()
-	n := int(cfg.LongWindow / cfg.Slot)
+	n := int(cfg.LongWindow / sloSlotLen)
 	if n < 1 {
 		n = 1
 	}
@@ -118,7 +115,7 @@ func (s *SLOTracker) Record(latency time.Duration) {
 	if s == nil {
 		return
 	}
-	epoch := s.cfg.Now().UnixNano() / int64(s.cfg.Slot)
+	epoch := s.cfg.Now().UnixNano() / int64(sloSlotLen)
 	s.mu.Lock()
 	sl := &s.slots[int(epoch%int64(len(s.slots)))]
 	if sl.epoch != epoch {
@@ -163,7 +160,7 @@ type SLOHealth struct {
 // window aggregates the slots inside the horizon ending now. Caller
 // holds s.mu.
 func (s *SLOTracker) windowLocked(nowEpoch int64, horizon time.Duration) SLOWindow {
-	n := int64(horizon / s.cfg.Slot)
+	n := int64(horizon / sloSlotLen)
 	if n < 1 {
 		n = 1
 	}
@@ -181,7 +178,12 @@ func (s *SLOTracker) windowLocked(nowEpoch int64, horizon time.Duration) SLOWind
 	if tot := w.Good + w.Bad; tot > 0 {
 		w.BadFrac = float64(w.Bad) / float64(tot)
 	}
-	w.Burn = w.BadFrac / (1 - s.cfg.Objective)
+	// The error budget is a float64 subtraction at run time
+	// (0.010000000000000009), not the exact 0.01 a constant expression
+	// would fold to, so a burn rate sits on the same side of each
+	// threshold as it always has.
+	objective := float64(sloObjective)
+	w.Burn = w.BadFrac / (1 - objective)
 	return w
 }
 
@@ -191,7 +193,7 @@ func (s *SLOTracker) Health() SLOHealth {
 	if s == nil {
 		return SLOHealth{Status: HealthReady}
 	}
-	nowEpoch := s.cfg.Now().UnixNano() / int64(s.cfg.Slot)
+	nowEpoch := s.cfg.Now().UnixNano() / int64(sloSlotLen)
 	s.mu.Lock()
 	short := s.windowLocked(nowEpoch, s.cfg.ShortWindow)
 	long := s.windowLocked(nowEpoch, s.cfg.LongWindow)
@@ -199,7 +201,7 @@ func (s *SLOTracker) Health() SLOHealth {
 	h := SLOHealth{
 		Status:       HealthReady,
 		BudgetMillis: float64(s.cfg.Budget) / float64(time.Millisecond),
-		Objective:    s.cfg.Objective,
+		Objective:    sloObjective,
 		Short:        short,
 		Long:         long,
 	}
@@ -210,9 +212,9 @@ func (s *SLOTracker) Health() SLOHealth {
 	switch {
 	case short.Burn >= s.cfg.OverloadBurn:
 		h.Status = HealthOverloaded
-	case short.Burn >= s.cfg.DegradedBurn && long.Burn >= s.cfg.DegradedBurn:
+	case short.Burn >= sloDegradedBurn && long.Burn >= sloDegradedBurn:
 		h.Status = HealthDegraded
-	case short.Burn >= s.cfg.DegradedBurn:
+	case short.Burn >= sloDegradedBurn:
 		// Short-window burn without long-window confirmation still
 		// reports degraded: the tracker usually starts cold (long
 		// window empty), and a fresh overload must not hide behind an

@@ -35,10 +35,6 @@ type Config struct {
 	Denoise dsp.DenoiseConfig
 	// Monitor is the monitoring configuration.
 	Monitor core.MonitorConfig
-	// DCTau is the time constant (in samples) of the streaming DC
-	// blocker (an exponential moving average subtracted from the input).
-	// Zero means 2048.
-	DCTau float64
 	// DisableDCBlock feeds samples through unmodified. Use it when the
 	// input is already AC-coupled (e.g. a pre-detrended capture). The DC
 	// blocker is the only stage the detector runs that the offline
@@ -82,6 +78,10 @@ type Config struct {
 	MaxHistoryWindows int
 }
 
+// dcTau is the time constant (in samples) of the streaming DC blocker:
+// an exponential moving average subtracted from the input.
+const dcTau = 2048
+
 // Detector consumes raw samples and raises anomaly reports online.
 type Detector struct {
 	cfg     Config
@@ -93,7 +93,6 @@ type Detector struct {
 	chunkBuf []float64 // impairment scratch
 	dcMean   float64
 	dcInit   bool
-	dcAlpha  float64
 
 	dnRefactor int64 // denoiser refactor count already published to Metrics
 
@@ -121,12 +120,6 @@ func NewDetector(model *core.Model, cfg Config) (*Detector, error) {
 	if cfg.STFT.HopSize > cfg.STFT.WindowSize {
 		return nil, fmt.Errorf("stream: hop %d larger than window %d", cfg.STFT.HopSize, cfg.STFT.WindowSize)
 	}
-	if cfg.DCTau == 0 {
-		cfg.DCTau = 2048
-	}
-	if cfg.DCTau < 1 {
-		return nil, fmt.Errorf("stream: DC blocker time constant %g < 1 sample", cfg.DCTau)
-	}
 	if cfg.MaxHistoryWindows < 0 {
 		return nil, fmt.Errorf("stream: negative history bound %d", cfg.MaxHistoryWindows)
 	}
@@ -153,7 +146,6 @@ func NewDetector(model *core.Model, cfg Config) (*Detector, error) {
 		monitor:      mon,
 		fe:           fe,
 		buf:          make([]float64, 0, cfg.STFT.WindowSize),
-		dcAlpha:      1 / cfg.DCTau,
 		episodeStart: -1,
 		track:        cfg.Trace.Track("stream"),
 	}, nil
@@ -243,7 +235,7 @@ func (d *Detector) feedChunk(samples []float64) {
 			}
 			// Streaming DC blocker: subtract a slow EWMA of the input
 			// (the offline pipeline subtracts the global mean instead).
-			d.dcMean += d.dcAlpha * (s - d.dcMean)
+			d.dcMean += (s - d.dcMean) / dcTau
 			s -= d.dcMean
 		}
 		d.buf = append(d.buf, s)

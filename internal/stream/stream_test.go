@@ -78,6 +78,58 @@ func TestDetectorReportsInjectedStream(t *testing.T) {
 	}
 }
 
+// TestDetectorReportsInvariantToDCOffset pins the streaming DC blocker:
+// adding a constant offset to the input, from a few times the signal's
+// mean up to a thousand times it, must not change a single report on a
+// clean or an injected run.
+func TestDetectorReportsInvariantToDCOffset(t *testing.T) {
+	f := pipetest.Tiny(t)
+	injector := &inject.InLoop{
+		Header: f.Machine.Nests[0].Header, Instrs: 8, MemOps: 4,
+		Contamination: 1, Seed: 9,
+	}
+	for _, tc := range []struct {
+		name   string
+		runIdx int
+		inj    inject.Injector
+	}{
+		{"clean", 500, nil},
+		{"injected", 600, injector},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run, err := pipeline.CollectRun(f.W, f.Machine, f.Config, tc.runIdx, tc.inj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mean float64
+			for _, v := range run.Signal {
+				mean += v
+			}
+			mean /= float64(len(run.Signal))
+			feed := func(offset float64) []core.Report {
+				d, err := NewDetector(f.Model, streamCfg(f.Config))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sig := make([]float64, len(run.Signal))
+				for i, v := range run.Signal {
+					sig[i] = v + offset
+				}
+				return d.Feed(sig)
+			}
+			want := feed(0)
+			if tc.inj != nil && len(want) == 0 {
+				t.Fatal("injected stream produced no reports")
+			}
+			for _, k := range []float64{3, -5, 1000} {
+				if got := feed(k * mean); !reflect.DeepEqual(got, want) {
+					t.Errorf("offset %g×mean: reports %+v, want %+v", k, got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestDetectorBatchSizeInvariance(t *testing.T) {
 	f := pipetest.Fixture(t)
 	run, err := pipeline.CollectRun(f.W, f.Machine, f.Config, 700, nil)
@@ -355,10 +407,5 @@ func TestDetectorValidation(t *testing.T) {
 	bad.STFT.HopSize = bad.STFT.WindowSize * 2
 	if _, err := NewDetector(model, bad); err == nil {
 		t.Error("hop > window accepted")
-	}
-	bad = streamCfg(p)
-	bad.DCTau = 0.5
-	if _, err := NewDetector(model, bad); err == nil {
-		t.Error("sub-sample DC time constant accepted")
 	}
 }
