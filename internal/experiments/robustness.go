@@ -461,6 +461,10 @@ func robustnessStream(e *Env, t *trained, run *pipeline.Run) (*StreamRobustness,
 			return w < len(run.STS) && run.STS[w].Injected
 		},
 	}
+	// The leg reports its own bundle, monitor counters included: a Stats
+	// hook inherited from the environment (eddie -metrics sets one) would
+	// keep the detector from forwarding m to the monitor.
+	cfg.Monitor.Stats = nil
 	d, err := stream.NewDetector(t.model, cfg)
 	if err != nil {
 		return nil, err

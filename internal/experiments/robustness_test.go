@@ -3,7 +3,11 @@ package experiments
 import (
 	"io"
 	"os"
+	"strings"
 	"testing"
+
+	"eddie/internal/metrics"
+	"eddie/internal/pipeline"
 )
 
 // TestQuickRobustness runs the robustness sweep at quick scale and
@@ -137,5 +141,47 @@ func TestRobustnessDeterministic(t *testing.T) {
 	if a.Drift.AdaptUpdates != b.Drift.AdaptUpdates || a.Drift.AdaptDrift != b.Drift.AdaptDrift {
 		t.Errorf("drift accounting differs between runs: %d/%g vs %d/%g",
 			a.Drift.AdaptUpdates, a.Drift.AdaptDrift, b.Drift.AdaptUpdates, b.Drift.AdaptDrift)
+	}
+}
+
+// TestRobustnessStreamOwnsMetrics: the online leg's metrics snapshot
+// carries the monitor's counters even when the environment's monitor
+// config already has a Stats hook (as eddie -experiment robustness
+// -metrics sets), because the leg reports its own bundle.
+func TestRobustnessStreamOwnsMetrics(t *testing.T) {
+	e := sharedQuickEnv()
+	tr, err := e.train("bitcount", e.Sim, e.TrainRunsSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := pipeline.CollectRun(tr.w, tr.machine, e.Sim, injectionRunBase, robustnessAttack(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A view of the shared env whose monitor config carries a Stats hook,
+	// leaving the shared env itself untouched.
+	withStats := &Env{Sim: e.Sim, MonitorCfg: e.MonitorCfg}
+	withStats.MonitorCfg.Stats = metrics.NewDetector()
+	str, err := robustnessStream(withStats, tr, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if str.Reports == 0 {
+		t.Fatal("injected run fired no reports; the check below is vacuous")
+	}
+	if got := str.Metrics["ks_tests"]; got == nil || got.(int64) == 0 {
+		t.Errorf("stream leg ks_tests = %v with an inherited Stats hook", got)
+	}
+	if got := str.Metrics["reports_fired"]; got == nil || got.(int64) != int64(str.Reports) {
+		t.Errorf("stream leg reports_fired = %v, leg fired %d", got, str.Reports)
+	}
+	regions := 0
+	for name := range str.Metrics {
+		if strings.HasPrefix(name, "region_windows/R") {
+			regions++
+		}
+	}
+	if regions == 0 {
+		t.Error("stream leg metrics have no region_windows/R* counters with an inherited Stats hook")
 	}
 }

@@ -18,6 +18,11 @@ import (
 // writeTimeout bounds each outbound frame write.
 const writeTimeout = 10 * time.Second
 
+// maxHistoryWindows bounds each session monitor's retained per-window
+// outcome history (stream.Config.MaxHistoryWindows): a device session
+// lives for days, so its history cannot grow with the stream.
+const maxHistoryWindows = 4096
+
 // Config configures a fleet server.
 type Config struct {
 	// Models resolves workload names from session hellos to trained
@@ -25,9 +30,11 @@ type Config struct {
 	Models ModelSource
 	// Stream is the per-session detector template: STFT, peak and
 	// monitor configuration. Each session gets its own copy (and its own
-	// flight recorder); per-session hooks in the template (Tap,
-	// GroundTruth) are dropped. STFT.SampleRate etc. must match what the
-	// models were trained under.
+	// flight recorder). The session overrides the template's per-session
+	// hooks (Tap, GroundTruth, Impair and the monitor's Stats and Flight
+	// are dropped), its Metrics (bound to the server registry) and its
+	// MaxHistoryWindows (fixed at 4096). STFT.SampleRate etc. must match
+	// what the models were trained under.
 	Stream stream.Config
 	// MaxSessions bounds concurrent device sessions; further connections
 	// are refused with a FrameError. Zero derives the bound from
@@ -50,10 +57,6 @@ type Config struct {
 	// up, which pushes back on the device through TCP flow control.
 	// Zero means 1<<20 (one million samples ≈ 8 MB per slow session).
 	MaxPendingSamples int
-	// MaxHistoryWindows bounds each session monitor's retained outcome
-	// history (stream.Config.MaxHistoryWindows). Zero means 4096;
-	// negative keeps unbounded history (offline semantics).
-	MaxHistoryWindows int
 	// Registry receives fleet-wide and per-device counters. Nil creates
 	// a private registry (exposed via Server.Registry).
 	Registry *metrics.Registry
@@ -90,12 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPendingSamples <= 0 {
 		c.MaxPendingSamples = 1 << 20
 	}
-	switch {
-	case c.MaxHistoryWindows == 0:
-		c.MaxHistoryWindows = 4096
-	case c.MaxHistoryWindows < 0:
-		c.MaxHistoryWindows = 0
-	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
 	}
@@ -115,21 +112,19 @@ type Server struct {
 	cErrors     *metrics.Counter // sessions ended by a protocol error
 	cReports    *metrics.Counter // anomaly reports streamed out
 	cBackpress  *metrics.Counter // reader stalls on the pending cap
-	cAdapt      *metrics.Counter // adaptive reference updates across sessions
 	hSessionWin *metrics.Histogram
 
-	// shards is the shared processor pool; arenas interns per-workload
-	// model state across sessions.
+	// shards is the shared processor pool.
 	shards    []*shard
 	shardStop sync.Once
 	obsStop   sync.Once // journal sync + alarm-stream close at shutdown
-	arenas    arenaTable
 
 	mu       sync.Mutex
 	ln       net.Listener
 	sessions map[int64]*session
-	devices  int           // sessions holding a MaxSessions slot (past a valid hello)
-	recent   []SessionInfo // ring of recently closed sessions
+	devices  int            // sessions holding a MaxSessions slot (past a valid hello)
+	live     map[string]int // sessions whose model loaded, per workload
+	recent   []SessionInfo  // ring of recently closed sessions
 	nextID   int64
 	draining bool
 	closed   bool
@@ -137,7 +132,7 @@ type Server struct {
 	wg sync.WaitGroup // live sessions (released in finish)
 }
 
-// recentClosedCap bounds the recently-closed session ring in Sessions
+// recentClosedCap bounds the recently-closed session ring in session
 // listings.
 const recentClosedCap = 32
 
@@ -155,6 +150,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		reg:      cfg.Registry,
 		sessions: map[int64]*session{},
+		live:     map[string]int{},
 	}
 	s.cAccepted = s.reg.Counter("fleet_conns_accepted")
 	s.cOpened = s.reg.Counter("fleet_sessions_opened")
@@ -163,7 +159,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.cErrors = s.reg.Counter("fleet_session_errors")
 	s.cReports = s.reg.Counter("fleet_reports")
 	s.cBackpress = s.reg.Counter("fleet_backpressure_stalls")
-	s.cAdapt = s.reg.Counter("fleet_adapt_updates")
 	s.hSessionWin = s.reg.Histogram("fleet_session_windows",
 		[]float64{16, 64, 256, 1024, 4096, 16384, 65536})
 	s.shards = make([]*shard, cfg.Shards)
@@ -304,7 +299,6 @@ func (s *Server) claimDeviceSlot() bool {
 // exactly once per admitted session, from session.finalize.
 func (s *Server) finish(sess *session) {
 	defer s.wg.Done()
-	s.arenas.release(sess.arena)
 	if sess.control.Load() {
 		// Control connections (coordinator probes and listing queries)
 		// release their slot without touching the listing ring, the
@@ -322,6 +316,9 @@ func (s *Server) finish(sess *session) {
 	if sess.slot.Load() {
 		s.devices--
 	}
+	if info.Workload != "" {
+		s.countWorkloadLocked(info.Workload, -1)
+	}
 	s.recent = append(s.recent, info)
 	if len(s.recent) > recentClosedCap {
 		s.recent = append(s.recent[:0], s.recent[len(s.recent)-recentClosedCap:]...)
@@ -336,6 +333,19 @@ func (s *Server) finish(sess *session) {
 	s.logf("fleet: session %d (%s/%s) closed: %d windows, %d reports%s",
 		sess.id, info.Device, info.Workload, info.Windows, info.Reports,
 		errSuffix(info.Error))
+}
+
+// countWorkloadLocked moves a workload's live-session count by delta and
+// publishes it on the fleet_arena_sessions/<workload> gauge. Caller
+// holds s.mu, so the gauge never lags the count.
+func (s *Server) countWorkloadLocked(workload string, delta int) {
+	n := s.live[workload] + delta
+	if n > 0 {
+		s.live[workload] = n
+	} else {
+		delete(s.live, workload)
+	}
+	s.reg.Gauge("fleet_arena_sessions/" + workload).Set(int64(n))
 }
 
 func errSuffix(e string) string {
@@ -465,27 +475,6 @@ type SessionInfo struct {
 	Error      string  `json:"error,omitempty"`
 }
 
-// Sessions returns the active sessions (sorted by id) followed by the
-// most recently closed ones.
-func (s *Server) Sessions() []SessionInfo {
-	s.mu.Lock()
-	active := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		if sess.control.Load() {
-			continue
-		}
-		active = append(active, sess)
-	}
-	recent := append([]SessionInfo(nil), s.recent...)
-	s.mu.Unlock()
-	sort.Slice(active, func(i, j int) bool { return active[i].id < active[j].id })
-	out := make([]SessionInfo, 0, len(active)+len(recent))
-	for _, sess := range active {
-		out = append(out, sess.info())
-	}
-	return append(out, recent...)
-}
-
 // DefaultSessionPageLimit bounds one /eddie/fleet listing page: at
 // 100k+ sessions per node a full dump would render megabytes of JSON
 // per GET, so listings page by default.
@@ -533,13 +522,17 @@ func (s *Server) FleetSessionsPage(offset, limit int) (any, int, int) {
 	page, total, active := s.SessionsPage(offset, limit)
 	s.mu.Lock()
 	draining := s.draining
+	live := make(map[string]int, len(s.live))
+	for w, n := range s.live {
+		live[w] = n
+	}
 	s.mu.Unlock()
 	return map[string]any{
 		"active":        active,
 		"max":           s.cfg.MaxSessions,
 		"shards":        len(s.shards),
 		"draining":      draining,
-		"arenas":        s.arenas.snapshot(),
+		"arenas":        live,
 		"shard_latency": s.shardLatency(),
 		"total":         total,
 		"offset":        offset,

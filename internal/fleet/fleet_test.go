@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
@@ -95,7 +96,7 @@ func feedDirect(t *testing.T, f *pipetest.F, samples []float64) (*stream.Detecto
 		Peaks:             f.Config.Peaks,
 		Monitor:           core.DefaultMonitorConfig(),
 		DisableDCBlock:    true,
-		MaxHistoryWindows: 4096, // the fleet server default
+		MaxHistoryWindows: maxHistoryWindows, // the fleet server's bound
 	}
 	det, err := stream.NewDetector(f.Model, cfg)
 	if err != nil {
@@ -492,7 +493,7 @@ func TestFleetStressConcurrentSessions(t *testing.T) {
 				return
 			default:
 			}
-			s.Sessions()
+			s.SessionsPage(0, DefaultSessionPageLimit)
 			s.FleetSessionsPage(0, DefaultSessionPageLimit)
 			s.Registry().WritePrometheus(io.Discard, "eddie")
 			time.Sleep(time.Millisecond)
@@ -614,7 +615,8 @@ func TestFleetSmoke(t *testing.T) {
 
 	// After shutdown the listing shows no active sessions and further
 	// dials fail (listener closed or refused while draining).
-	for _, info := range s.Sessions() {
+	infos, _, _ := s.SessionsPage(0, DefaultSessionPageLimit)
+	for _, info := range infos {
 		if info.Active {
 			t.Fatalf("session %d still active after shutdown", info.Session)
 		}
@@ -671,5 +673,123 @@ func TestDirModels(t *testing.T) {
 	}
 	if _, err := d.Load("bitcount"); err == nil {
 		t.Fatal("load succeeded after Forget with the file gone")
+	}
+}
+
+// TestFleetWorkloadSessionCounts: the per-workload live-session count
+// behind the fleet_arena_sessions/<workload> gauges and the "arenas" key
+// of the /eddie/fleet listing follows connects and disconnects across
+// two workloads, down to an empty listing.
+func TestFleetWorkloadSessionCounts(t *testing.T) {
+	f, _ := fleetSignal(t)
+	cfg := serverConfig(f)
+	cfg.Models = StaticModels{"wa": f.Model, "wb": f.Model}
+	s, addr := startServer(t, cfg)
+
+	check := func(want map[string]int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			page, _, _ := s.FleetSessionsPage(0, DefaultSessionPageLimit)
+			got := page.(map[string]any)["arenas"].(map[string]int)
+			ok := len(got) == len(want)
+			for w, n := range want {
+				if got[w] != n {
+					ok = false
+				}
+			}
+			for _, w := range []string{"wa", "wb"} {
+				if v := s.Registry().Gauge("fleet_arena_sessions/" + w).Value(); v != int64(want[w]) {
+					ok = false
+				}
+			}
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("arenas %v (gauges wa=%d wb=%d), want %v", got,
+					s.Registry().Gauge("fleet_arena_sessions/wa").Value(),
+					s.Registry().Gauge("fleet_arena_sessions/wb").Value(), want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	dial := func(device, workload string) *Client {
+		t.Helper()
+		c, err := Dial(addr, Hello{Device: device, Workload: workload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	check(map[string]int{})
+	a1 := dial("dev-a1", "wa")
+	a2 := dial("dev-a2", "wa")
+	b1 := dial("dev-b1", "wb")
+	check(map[string]int{"wa": 2, "wb": 1})
+	if _, _, err := a1.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	check(map[string]int{"wa": 1, "wb": 1})
+	b1.Close()
+	check(map[string]int{"wa": 1})
+	if _, _, err := a2.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	check(map[string]int{})
+}
+
+// TestFleetReloadedModelReachesNewSessions: after DirModels.Forget and a
+// rewritten model file, a session that connects while an older session
+// of the same workload is still open monitors against the new model,
+// not the one the open session loaded.
+func TestFleetReloadedModelReachesNewSessions(t *testing.T) {
+	f, _ := fleetSignal(t)
+	if len(f.Model.Regions) < 2 {
+		t.Fatalf("fixture model has %d regions; cannot drop one", len(f.Model.Regions))
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bitcount.json")
+	if err := f.Model.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	models := NewDirModels(dir)
+	cfg := serverConfig(f)
+	cfg.Models = models
+	_, addr := startServer(t, cfg)
+
+	a, err := Dial(addr, Hello{Device: "dev-old", Workload: "bitcount"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if got := a.Welcome().Regions; got != len(f.Model.Regions) {
+		t.Fatalf("session A monitors %d regions, want %d", got, len(f.Model.Regions))
+	}
+
+	// Re-train in place: the new model lacks the highest region.
+	ids := f.Model.RegionIDs()
+	retrained := &core.Model{
+		ProgramName:  f.Model.ProgramName,
+		Machine:      f.Model.Machine,
+		Regions:      maps.Clone(f.Model.Regions),
+		Alpha:        f.Model.Alpha,
+		MaxGroupSize: f.Model.MaxGroupSize,
+	}
+	delete(retrained.Regions, ids[len(ids)-1])
+	models.Forget("bitcount")
+	if err := retrained.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := Dial(addr, Hello{Device: "dev-new", Workload: "bitcount"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if got := b.Welcome().Regions; got != len(retrained.Regions) {
+		t.Fatalf("session B (connected after the reload, A still open) monitors %d regions, want the new model's %d",
+			got, len(retrained.Regions))
 	}
 }

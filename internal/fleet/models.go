@@ -12,7 +12,13 @@ import (
 
 // ModelSource resolves a client-supplied workload name to a trained
 // model. Implementations must be safe for concurrent use and must treat
-// the name as untrusted input.
+// the name as untrusted input. Load returns one shared instance per
+// workload: every session of that workload monitors against the same
+// *core.Model (models are immutable once trained), so a fleet of N
+// same-firmware devices holds one copy of the reference data, not N.
+// A source that replaces a workload's model (DirModels.Forget plus a
+// rewritten file) hands the new instance to sessions that connect
+// afterwards; open sessions keep the one they started with.
 type ModelSource interface {
 	Load(workload string) (*core.Model, error)
 }

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"net"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -115,6 +118,38 @@ func TestFleetJournalRoundTrip(t *testing.T) {
 		if string(remarshaled) != string(liveEvents[i]) {
 			t.Fatalf("alarm %d not bit-identical:\njournal: %s\nlive:    %s",
 				i, remarshaled, liveEvents[i])
+		}
+	}
+	// Each alarm is encoded once: the SSE payload is the journal's own
+	// line for it, byte for byte.
+	var alarmLines []string
+	files, err := filepath.Glob(filepath.Join(jdir, "journal-*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+			var ev obs.JournalEvent
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("journal line %q: %v", line, err)
+			}
+			if ev.Type == "alarm" {
+				alarmLines = append(alarmLines, line)
+			}
+		}
+	}
+	if len(alarmLines) != len(liveEvents) {
+		t.Fatalf("journal has %d alarm lines, SSE delivered %d", len(alarmLines), len(liveEvents))
+	}
+	for i, line := range alarmLines {
+		if line != string(liveEvents[i]) {
+			t.Fatalf("alarm %d SSE payload differs from its journal line:\njournal: %s\nlive:    %s",
+				i, line, liveEvents[i])
 		}
 	}
 	// The dumps carry real evidence and match the report stream.
@@ -323,7 +358,7 @@ func TestFleetListingActivityAndDepth(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	infos := s.Sessions()
+	infos, _, _ := s.SessionsPage(0, DefaultSessionPageLimit)
 	if len(infos) == 0 {
 		t.Fatal("no sessions listed")
 	}
@@ -378,9 +413,10 @@ func TestFleetListingActivityAndDepth(t *testing.T) {
 
 // TestFleetAdaptationObservability: a session whose stream template has
 // the adaptive reference layer enabled surfaces its activity on every
-// observability channel — the fleet_adapt_updates counter advances,
-// per-region region_adapt_drift/R* gauges are registered, and the alarm
-// journal carries throttled "adapt" checkpoint events.
+// observability channel — the adapt_updates counter the session's
+// detector advances in the server registry moves, per-region
+// region_adapt_drift/R* gauges are registered, and the alarm journal
+// carries throttled "adapt" checkpoint events.
 func TestFleetAdaptationObservability(t *testing.T) {
 	f, _ := fleetSignal(t)
 	// A clean capture: adaptation must engage (the contaminated fleet
@@ -414,9 +450,9 @@ func TestFleetAdaptationObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	updates := s.Registry().Counter("fleet_adapt_updates").Value()
+	updates := s.Registry().Counter("adapt_updates").Value()
 	if updates == 0 {
-		t.Fatal("fleet_adapt_updates did not advance on a clean adaptive session")
+		t.Fatal("adapt_updates did not advance on a clean adaptive session")
 	}
 	var gauges int
 	for name := range s.Registry().Snapshot() {

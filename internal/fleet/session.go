@@ -40,7 +40,6 @@ type session struct {
 	workload string
 	det      *stream.Detector
 	flight   *obs.FlightRecorder
-	arena    *modelArena
 	started  time.Time
 	remote   string
 
@@ -87,7 +86,7 @@ type session struct {
 	adaptGauges      map[cfg.RegionID]*metrics.FloatGauge
 	adaptDriftFn     func(cfg.RegionID, float64)
 
-	// Progress counters, atomically readable by Sessions listings while
+	// Progress counters, atomically readable by session listings while
 	// the shard processor runs.
 	aSamples   atomic.Int64
 	aSanitized atomic.Int64
@@ -234,10 +233,16 @@ func (ss *session) handshake() bool {
 		ss.abort(fmt.Sprintf("loading model: %v", err))
 		return false
 	}
-	// Sessions monitoring the same workload share one interned model
-	// (reference distributions are immutable), not one copy each.
-	ss.arena = ss.s.arenas.acquire(hello.Workload, model, ss.s.reg)
-	model = ss.arena.model
+	// The source hands every session of a workload the same model. From
+	// here on the session counts toward its workload's live sessions
+	// (finish uncounts it by the workload it lists).
+	ss.mu.Lock()
+	ss.device = hello.Device
+	ss.workload = hello.Workload
+	ss.mu.Unlock()
+	ss.s.mu.Lock()
+	ss.s.countWorkloadLocked(hello.Workload, 1)
+	ss.s.mu.Unlock()
 
 	cfg := ss.s.cfg.Stream
 	// Per-session hooks from the template would be shared mutable state
@@ -250,7 +255,7 @@ func (ss *session) handshake() bool {
 	cfg.Metrics = metrics.NewDetectorWith(ss.s.reg)
 	cfg.Monitor.Stats = nil
 	cfg.Monitor.Flight = nil
-	cfg.MaxHistoryWindows = ss.s.cfg.MaxHistoryWindows
+	cfg.MaxHistoryWindows = maxHistoryWindows
 	if hello.DisableDCBlock {
 		cfg.DisableDCBlock = true
 	}
@@ -262,10 +267,6 @@ func (ss *session) handshake() bool {
 		return false
 	}
 	ss.det = det
-	ss.mu.Lock()
-	ss.device = hello.Device
-	ss.workload = hello.Workload
-	ss.mu.Unlock()
 	// Every alarm this session's recorder takes is published the moment
 	// it fires: journaled durably and fanned out to SSE subscribers.
 	ss.flight.SetOnAlarm(ss.publishAlarm)
@@ -608,16 +609,16 @@ func (ss *session) feedBatch() bool {
 const adaptJournalEvery = 256
 
 // publishAdapt runs on the session's shard turn after a batch was fed:
-// it forwards newly admitted adaptation updates to the fleet counter,
-// refreshes the per-region drift gauges, and journals the adaptation
-// trail at adaptJournalEvery granularity.
+// when the detector admitted new adaptation updates (which it counts on
+// the shared registry's adapt_updates itself), it refreshes the
+// per-region drift gauges and journals the adaptation trail at
+// adaptJournalEvery granularity.
 func (ss *session) publishAdapt() {
 	mon := ss.det.Monitor()
 	u := mon.AdaptUpdates()
 	if u == ss.prevAdaptUpdates {
 		return
 	}
-	ss.s.cAdapt.Add(u - ss.prevAdaptUpdates)
 	ss.prevAdaptUpdates = u
 	mon.AdaptRegionDrift(ss.adaptDriftFn)
 	if u >= ss.nextAdaptJournal {
@@ -656,21 +657,26 @@ func (ss *session) publishAlarm(d *obs.AlarmDump) {
 
 // publishAlarmEvent stamps the session's provenance onto ev, appends it
 // to the journal (which assigns the sequence number) and publishes the
-// same encoded event to the live alarm stream.
+// journal's encoded line to the live alarm stream, so an alarm is
+// encoded once. Without a journal the event is encoded for the stream.
 func (ss *session) publishAlarmEvent(ev *obs.JournalEvent) {
 	ev.Device = ss.device
 	ev.Session = ss.id
 	ev.Shard = ss.shardLabel()
-	ss.s.cfg.Journal.AppendEvent(ev) // stamps Seq and TimeUnixNano
+	line := ss.s.cfg.Journal.AppendEvent(ev) // stamps Seq and TimeUnixNano
 	if ss.s.cfg.Alarms == nil {
 		return
 	}
-	if ev.TimeUnixNano == 0 { // no journal attached; stamp for the stream
-		ev.TimeUnixNano = time.Now().UnixNano()
+	if line == nil { // no journal attached; stamp and encode for the stream
+		if ev.TimeUnixNano == 0 {
+			ev.TimeUnixNano = time.Now().UnixNano()
+		}
+		var err error
+		if line, err = json.Marshal(ev); err != nil {
+			return
+		}
 	}
-	if b, err := json.Marshal(ev); err == nil {
-		ss.s.cfg.Alarms.Publish(b)
-	}
+	ss.s.cfg.Alarms.Publish(line)
 }
 
 // finalize reaches the session's terminal state exactly once: send the

@@ -172,6 +172,15 @@ func TestFleetStressShardedChurn(t *testing.T) {
 	if got := reg.Counter("fleet_sessions_closed").Value(); got != sessions {
 		t.Errorf("fleet_sessions_closed %d, want %d", got, sessions)
 	}
+	// 64 concurrent connects and disconnects of one workload must leave
+	// its live-session count, listing and gauge alike, back at zero.
+	page, _, _ := s.FleetSessionsPage(0, DefaultSessionPageLimit)
+	if live := page.(map[string]any)["arenas"].(map[string]int); len(live) != 0 {
+		t.Errorf("arenas %v after every session closed", live)
+	}
+	if got := reg.Gauge("fleet_arena_sessions/bitcount").Value(); got != 0 {
+		t.Errorf("fleet_arena_sessions/bitcount %d after every session closed", got)
+	}
 	// With a two-chunk pending cap and 4 shards timeslicing 64 readers,
 	// enqueue stalls are all but guaranteed; a zero here means the
 	// backpressure path silently stopped counting.

@@ -94,7 +94,9 @@ type JournalEvent struct {
 // hand-encodes the line into a reusable buffer, because the fleet emits
 // one per session transition and a 100k-session drain would otherwise
 // allocate 100k JSON encoders. Alarm appends (AppendEvent) marshal with
-// encoding/json — alarms are rare and carry nested evidence.
+// encoding/json — alarms are rare and carry nested evidence — and hand
+// the encoded line back, so a live stream can publish the same bytes
+// without encoding the event again.
 type Journal struct {
 	cfg JournalConfig
 
@@ -242,16 +244,17 @@ func (j *Journal) Event(typ, device string, session int64, shard, detail string)
 }
 
 // AppendEvent appends an arbitrary event (the alarm path), stamping Seq
-// and TimeUnixNano in place. Returns the assigned sequence number (0 on
-// a nil or closed journal).
-func (j *Journal) AppendEvent(ev *JournalEvent) int64 {
+// and TimeUnixNano in place. It returns the JSON line it wrote, without
+// the trailing newline (nil on a nil or closed journal, when nothing is
+// written). The journal keeps no reference to the returned bytes.
+func (j *Journal) AppendEvent(ev *JournalEvent) []byte {
 	if j == nil {
-		return 0
+		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return 0
+		return nil
 	}
 	j.seq++
 	ev.Seq = j.seq
@@ -262,10 +265,10 @@ func (j *Journal) AppendEvent(ev *JournalEvent) int64 {
 	if err != nil {
 		// Marshal of JournalEvent cannot fail (fixed shape, no cycles);
 		// drop the event rather than wedge the caller.
-		return ev.Seq
+		return nil
 	}
 	j.appendLocked(append(line, '\n'))
-	return ev.Seq
+	return line
 }
 
 // appendLocked writes one framed line, rotating and syncing per policy.

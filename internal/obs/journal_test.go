@@ -30,9 +30,10 @@ func TestJournalAppendAndRecover(t *testing.T) {
 			Transition: TransStay, SwitchTo: -1, Reported: true,
 		}},
 	}
-	seq := j.AppendEvent(&JournalEvent{Type: "alarm", Device: "dev-1", Session: 7, Shard: "s03", Alarm: dump})
-	if seq != 4 {
-		t.Fatalf("alarm seq = %d, want 4", seq)
+	alarm := &JournalEvent{Type: "alarm", Device: "dev-1", Session: 7, Shard: "s03", Alarm: dump}
+	line := j.AppendEvent(alarm)
+	if alarm.Seq != 4 {
+		t.Fatalf("alarm seq = %d, want 4", alarm.Seq)
 	}
 	j.Event("disconnect", "dev-1", 7, "s03", "EOF")
 	if err := j.Close(); err != nil {
@@ -75,6 +76,15 @@ func TestJournalAppendAndRecover(t *testing.T) {
 	recJSON, _ := json.Marshal(rec.Alarms[0])
 	if string(liveJSON) != string(recJSON) {
 		t.Errorf("alarm dump not bit-identical after recovery:\nlive: %s\nrec:  %s", liveJSON, recJSON)
+	}
+	// The line AppendEvent hands back is the alarm's line in the file,
+	// byte for byte, minus the newline.
+	raw, err := os.ReadFile(filepath.Join(dir, journalFileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(string(raw), "\n"); len(lines) < 4 || lines[3] != string(line) {
+		t.Errorf("AppendEvent returned %q, journal line 4 is %q", line, lines[3])
 	}
 }
 
@@ -188,8 +198,8 @@ func TestJournalRecoverMissingDir(t *testing.T) {
 func TestJournalNilAndClosed(t *testing.T) {
 	var j *Journal
 	j.Event("connect", "a", 1, "", "") // no-op, no panic
-	if j.AppendEvent(&JournalEvent{Type: "alarm"}) != 0 {
-		t.Error("nil AppendEvent returned a seq")
+	if j.AppendEvent(&JournalEvent{Type: "alarm"}) != nil {
+		t.Error("nil AppendEvent returned a line")
 	}
 	if j.Sync() != nil || j.Close() != nil || j.Seq() != 0 {
 		t.Error("nil journal methods not no-ops")
@@ -199,7 +209,10 @@ func TestJournalNilAndClosed(t *testing.T) {
 	real, _ := OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncNever})
 	real.Close()
 	real.Event("connect", "a", 1, "", "") // closed: dropped
-	if err := real.Close(); err != nil {  // idempotent
+	if real.AppendEvent(&JournalEvent{Type: "alarm"}) != nil {
+		t.Error("closed AppendEvent returned a line")
+	}
+	if err := real.Close(); err != nil { // idempotent
 		t.Error(err)
 	}
 	rec, _ := RecoverJournal(dir)
