@@ -123,7 +123,7 @@ bench-fleet-smoke:
 # a full timing run.
 bench-decision-smoke:
 	go build -o /dev/null ./cmd/eddie-bench
-	go test -short -run '^$$' -bench 'BenchmarkEvalGroups|BenchmarkObserveMultiMode|BenchmarkKSStatistic|BenchmarkKSRejectPresorted' -benchtime 1x ./internal/core ./internal/stats
+	go test -short -run '^$$' -bench 'BenchmarkEvalGroups|BenchmarkObserveMultiMode|BenchmarkKSStatistic|BenchmarkKSRejectStatPresorted' -benchtime 1x ./internal/core ./internal/stats
 
 # Observability overhead check: asserts the monitor's decision loop does
 # 0 allocs/op with tracing/flight recording disabled (the default), that
@@ -146,12 +146,13 @@ bench-obs:
 
 # Per-package coverage over the short suite; fails if the hardened
 # packages (internal/stream, internal/impair, internal/obs,
-# internal/fleet, internal/coord, internal/metrics, internal/dsp with
-# its linalg/denoise kernels, and internal/core with the STS front end
-# and the decision kernel) drop below 80%.
+# internal/fleet, internal/coord, internal/metrics, internal/stats with
+# the K-S kernels, internal/dsp with its linalg/denoise kernels, and
+# internal/core with the STS front end and the decision path) drop
+# below 80%.
 cover:
 	go test -short -cover ./... | tee /tmp/eddie-cover.txt
-	@awk '/eddie\/internal\/(core|dsp|stream|impair|obs|fleet|coord|metrics)\t/ { \
+	@awk '/eddie\/internal\/(core|dsp|stream|impair|obs|fleet|coord|metrics|stats)\t/ { \
 	    for (i = 1; i <= NF; i++) if ($$i ~ /%/) { pct = $$i; sub(/%.*/, "", pct); \
 	        if (pct + 0 < 80) { printf "FAIL: %s coverage %s%% < 80%%\n", $$2, pct; bad = 1 } \
 	        else printf "ok:   %s coverage %s%%\n", $$2, pct } } \

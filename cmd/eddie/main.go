@@ -653,9 +653,7 @@ func run(o *options, stdout io.Writer) error {
 	}
 
 	mc := eddie.DefaultMonitorConfig()
-	if dm != nil {
-		mc.Stats = dm
-	}
+	mc.Stats = dm
 	mc.Trace = rec
 	mc.Flight = flight
 	mc.Adapt = o.adaptConfig()

@@ -117,9 +117,10 @@ type (
 	// with WriteChromeTrace. A nil recorder costs nothing.
 	TraceRecorder = obs.Recorder
 	// FlightRecorder keeps a bounded ring of per-window decision
-	// provenance records and snapshots the ring when an alarm fires. Plug
-	// it into MonitorConfig.Flight or StreamConfig.Flight; nil costs
-	// nothing.
+	// provenance records and snapshots the ring when an alarm fires.
+	// A detector takes it in StreamConfig.Flight (its one attach point;
+	// the detector replaces its monitor config's Flight with it), a bare
+	// monitor in MonitorConfig.Flight; nil keeps nothing.
 	FlightRecorder = obs.FlightRecorder
 	// AlarmJournal is the durable append-only JSONL event log recording
 	// fleet lifecycle events and every alarm with its full flight dump;
@@ -234,13 +235,17 @@ func NewSpectrogram(signal []float64, c PipelineConfig) (*Spectrogram, error) {
 }
 
 // NewDetector creates a streaming detector: feed it raw signal samples
-// with Write and it raises anomaly reports online, using the pipeline's
-// STFT and peak settings.
+// with Feed and it raises anomaly reports online, using the pipeline's
+// STFT and peak settings. mc's Stats, Trace and Flight hooks attach to
+// the whole detector (StreamConfig.Metrics, Trace and Flight).
 func NewDetector(model *Model, c PipelineConfig, mc MonitorConfig) (*Detector, error) {
 	return stream.NewDetector(model, stream.Config{
 		STFT:    c.STFT,
 		Peaks:   c.Peaks,
 		Monitor: mc,
+		Metrics: mc.Stats,
+		Trace:   mc.Trace,
+		Flight:  mc.Flight,
 	})
 }
 

@@ -22,8 +22,9 @@ type evalResult struct {
 
 // provCapture collects per-rank K-S evidence while evalGroups scans the
 // training modes: tmp holds the mode currently being tested, best the
-// best mode seen so far. nil disables capture — the hot path then runs
-// the original statistic-free tests and allocates nothing.
+// best mode seen so far. Both reuse their backing arrays, so capture
+// allocates nothing once they have grown to the widest region's rank
+// count; nil skips the copying (successor probes keep no evidence).
 type provCapture struct {
 	tmp  []obs.RankKS
 	best []obs.RankKS
@@ -82,9 +83,8 @@ const (
 // subset of rm.Modes (leave-one-out during training); startMode rotates
 // the scan order so the monitor can re-test its last good mode first.
 // g must be sorted (see groupSet). prov, when non-nil, captures the best
-// mode's per-rank statistics; the rejection decisions are computed from
-// the identical statistic/critical pair, so capture never changes the
-// verdict.
+// mode's per-rank statistics: the same (D, critical) pairs the
+// rejections are decided from, so capture never changes the verdict.
 func evalGroups(rm *RegionModel, modes []RegionMode, g *groupSet, rejectFraction, cAlpha float64, startMode int, prov *provCapture) evalResult {
 	res := evalResult{rejected: true, bestMode: -1, bestRejFrac: 1}
 	if prov != nil {
@@ -123,13 +123,10 @@ func evalGroups(rm *RegionModel, modes []RegionMode, g *groupSet, rejectFraction
 			prov.tmp = prov.tmp[:0]
 		}
 		for k := 0; k < ranks && k < len(mode.Ref); k++ {
-			var rejected bool
+			d, crit := stats.KSRejectStatPresorted(mode.Ref[k], g.ranks[k], cAlpha)
+			rejected := d > crit
 			if prov != nil {
-				d, crit := stats.KSRejectStatPresorted(mode.Ref[k], g.ranks[k], cAlpha)
-				rejected = d > crit
 				prov.tmp = append(prov.tmp, obs.RankKS{Rank: k, Stat: d, Crit: crit, Rejected: rejected})
-			} else {
-				rejected = stats.KSRejectPresorted(mode.Ref[k], g.ranks[k], cAlpha)
 			}
 			if rejected {
 				rej++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"eddie/internal/cfg"
+	"eddie/internal/metrics"
 	"eddie/internal/obs"
 	"eddie/internal/stats"
 )
@@ -45,39 +46,20 @@ type MonitorConfig struct {
 	// AdaptConfig). The zero value disables it, leaving the decision path
 	// bit-identical to the static monitor.
 	Adapt AdaptConfig
-	// Stats, when non-nil, receives monitoring-internals events (K-S
+	// Stats, when non-nil, counts monitoring-internals events (K-S
 	// tests, per-window outcomes, region switches, reports). It is never
-	// consulted for decisions; internal/metrics provides the standard
-	// implementation.
-	Stats MonitorStats
+	// consulted for decisions.
+	Stats *metrics.Detector
 	// Trace, when non-nil, records a span per observed window plus
 	// instant events for region switches and fired reports on the
 	// recorder's "monitor" track. Nil (the default) costs nothing.
 	Trace *obs.Recorder
-	// Flight, when non-nil, receives one decision-provenance record per
-	// observed window (region under test, group size, per-rank K-S
-	// statistics vs. the cAlpha threshold, transition taken) and an
-	// alarm dump whenever a report fires. Nil (the default) keeps the
-	// decision loop allocation-free.
+	// Flight, when non-nil, keeps the monitor's per-window
+	// decision-provenance records (region under test, group size,
+	// per-rank K-S statistics vs. the cAlpha threshold, transition
+	// taken) and takes an alarm dump whenever a report fires. The
+	// monitor builds each record either way; nil keeps none.
 	Flight *obs.FlightRecorder
-}
-
-// MonitorStats receives the monitor's internal events for observability.
-// Implementations must be cheap: the hooks run on the monitoring hot
-// path, once per window or per region evaluation.
-type MonitorStats interface {
-	// KSTest reports one region-level K-S decision: the tested region,
-	// the best-mode rejection fraction (the test statistic, in [0,1])
-	// and whether the region test rejected.
-	KSTest(region cfg.RegionID, rejFrac float64, rejected bool)
-	// WindowObserved reports one processed STS with the monitor's final
-	// view of it.
-	WindowObserved(region cfg.RegionID, rejected, flagged bool)
-	// ReportFired reports an anomaly report raised after a rejection
-	// streak of the given length.
-	ReportFired(streak int)
-	// RegionSwitch reports a region transition.
-	RegionSwitch(from, to cfg.RegionID)
 }
 
 // DefaultMonitorConfig mirrors the paper's operating point: the
@@ -149,10 +131,10 @@ type Monitor struct {
 	// Outcomes[0] describes absolute window index trimmed.
 	trimmed int
 
-	// Observability state: the trace track, the per-rank provenance
-	// capture scratch and the reusable window records (main decision and
-	// short-horizon burst test). All stay zero/nil when the hooks are
-	// disabled.
+	// Observability state: the trace track (zero when Trace is nil), the
+	// per-rank provenance capture scratch and the reusable window records
+	// (main decision and short-horizon burst test), filled on every
+	// window.
 	track    obs.Track
 	prov     provCapture
 	rec      obs.WindowRecord
@@ -308,24 +290,20 @@ func (m *Monitor) Observe(sts *STS) bool {
 	out := WindowOutcome{Region: m.cur}
 	reported := false
 
-	// rec, when enabled, accumulates this window's decision provenance.
-	// It reuses the monitor's scratch record; the flight recorder deep-
-	// copies on Record, and a nil flight recorder keeps this loop
-	// allocation-free.
-	var rec *obs.WindowRecord
-	if m.mcfg.Flight != nil {
-		m.rec = obs.WindowRecord{
-			Window:        m.seen - 1,
-			TimeSec:       sts.TimeSec,
-			Region:        int(m.cur),
-			BestMode:      -1,
-			SwitchTo:      -1,
-			Transition:    obs.TransStay,
-			CAlpha:        m.cAlpha,
-			Ranks:         m.rec.Ranks[:0],
-			RejectedRanks: m.rec.RejectedRanks[:0],
-		}
-		rec = &m.rec
+	// rec accumulates this window's decision provenance in the monitor's
+	// reusable scratch record; the flight recorder, when attached,
+	// deep-copies it on Record.
+	rec := &m.rec
+	*rec = obs.WindowRecord{
+		Window:        m.seen - 1,
+		TimeSec:       sts.TimeSec,
+		Region:        int(m.cur),
+		BestMode:      -1,
+		SwitchTo:      -1,
+		Transition:    obs.TransStay,
+		CAlpha:        m.cAlpha,
+		Ranks:         rec.Ranks[:0],
+		RejectedRanks: rec.RejectedRanks[:0],
 	}
 
 	curModel := m.regionModel(m.cur)
@@ -334,20 +312,16 @@ func (m *Monitor) Observe(sts *STS) bool {
 		// The monitor believes it is in a region training never modeled;
 		// treat as rejected and try to move on.
 		out.Rejected = true
-		reported = m.handleRejection(sts, &out, rec)
+		reported = m.handleRejection(sts)
 	case !curModel.Testable():
 		// Blind region: no peaks to test. Try to leave as soon as a
 		// successor matches; never raise anomalies from here (this is
 		// the coverage cost the paper attributes to peakless loops).
-		if rec != nil {
-			rec.Transition = obs.TransBlind
-		}
+		rec.Transition = obs.TransBlind
 		if id, ok := m.bestSuccessor(); ok {
 			m.switchTo(id)
-			if rec != nil {
-				rec.Transition = obs.TransSwitch
-				rec.SwitchTo = int(id)
-			}
+			rec.Transition = obs.TransSwitch
+			rec.SwitchTo = int(id)
 		}
 		m.streak = 0
 		m.alarm = false
@@ -365,29 +339,22 @@ func (m *Monitor) Observe(sts *STS) bool {
 		if n < minTestWindows {
 			break // too few windows of this region yet
 		}
-		rejected := m.regionRejects(curModel, n, rec)
+		rejected := m.evalRegion(curModel, n, rec).rejected
 		if !rejected && m.mcfg.BurstWindows > 0 && n > m.mcfg.BurstWindows {
 			// Multi-scale: also test a short recent horizon so a brief
-			// burst cannot hide inside a large trained group size.
-			if rec == nil {
-				rejected = m.regionRejects(curModel, m.mcfg.BurstWindows, nil)
-			} else {
-				// Capture the burst evidence separately: it only becomes
-				// the window's provenance when it is the decisive
-				// (rejecting) test; otherwise the accepted full-group
-				// evidence stands.
-				m.recBurst.Ranks = m.recBurst.Ranks[:0]
-				m.recBurst.RejectedRanks = m.recBurst.RejectedRanks[:0]
-				if m.regionRejects(curModel, m.mcfg.BurstWindows, &m.recBurst) {
-					rejected = true
-					m.recBurst.Burst = true
-					rec.CopyEvidence(&m.recBurst)
-				}
+			// burst cannot hide inside a large trained group size. The
+			// burst evidence only becomes the window's provenance when it
+			// is the decisive (rejecting) test; otherwise the accepted
+			// full-group evidence stands.
+			if m.evalRegion(curModel, m.mcfg.BurstWindows, &m.recBurst).rejected {
+				rejected = true
+				m.recBurst.Burst = true
+				rec.CopyEvidence(&m.recBurst)
 			}
 		}
 		if rejected {
 			out.Rejected = true
-			reported = m.handleRejection(sts, &out, rec)
+			reported = m.handleRejection(sts)
 		} else {
 			m.streak = 0
 			m.alarm = false
@@ -403,22 +370,16 @@ func (m *Monitor) Observe(sts *STS) bool {
 	out.Flagged = m.alarm
 	out.Region = m.cur
 	m.Outcomes = append(m.Outcomes, out)
-	if m.mcfg.Stats != nil {
-		m.mcfg.Stats.WindowObserved(out.Region, out.Rejected, out.Flagged)
-	}
-	if rec != nil {
-		rec.Rejected = out.Rejected
-		rec.Flagged = out.Flagged
-		rec.Streak = m.streak
-		rec.Reported = reported
-		m.mcfg.Flight.Record(rec)
-		if reported {
-			// Snapshot the ring after recording, so the dump's final
-			// record is the alarm window itself with its evidence.
-			m.mcfg.Flight.Alarm(rec.Window, rec.TimeSec, rec.Region, rec.Streak, rec.RejectedRanks)
-		}
-	}
+	m.mcfg.Stats.WindowObserved(out.Region, out.Rejected)
+	rec.Rejected = out.Rejected
+	rec.Flagged = out.Flagged
+	rec.Streak = m.streak
+	rec.Reported = reported
+	m.mcfg.Flight.Record(rec)
 	if reported {
+		// Snapshot the ring after recording, so the dump's final record
+		// is the alarm window itself with its evidence.
+		m.mcfg.Flight.Alarm(rec.Window, rec.TimeSec, rec.Region, rec.Streak, rec.RejectedRanks)
 		m.track.Instant("report")
 	}
 	sp.End()
@@ -426,9 +387,9 @@ func (m *Monitor) Observe(sts *STS) bool {
 }
 
 // handleRejection implements the rejected branch of Algorithm 1: consider
-// successor regions; failing that, count toward an anomaly report. rec,
-// when non-nil, receives the transition provenance.
-func (m *Monitor) handleRejection(sts *STS, out *WindowOutcome, rec *obs.WindowRecord) bool {
+// successor regions; failing that, count toward an anomaly report. The
+// transition taken lands in the window record.
+func (m *Monitor) handleRejection(sts *STS) bool {
 	if m.adapt != nil {
 		// Any rejection — including one resolved by a region switch —
 		// breaks the clean streak that gates reference updates.
@@ -436,10 +397,8 @@ func (m *Monitor) handleRejection(sts *STS, out *WindowOutcome, rec *obs.WindowR
 	}
 	if id, ok := m.bestSuccessor(); ok {
 		m.switchTo(id)
-		if rec != nil {
-			rec.Transition = obs.TransSwitch
-			rec.SwitchTo = int(id)
-		}
+		m.rec.Transition = obs.TransSwitch
+		m.rec.SwitchTo = int(id)
 		return false
 	}
 	m.streak++
@@ -451,9 +410,7 @@ func (m *Monitor) handleRejection(sts *STS, out *WindowOutcome, rec *obs.WindowR
 				TimeSec: sts.TimeSec,
 				Region:  m.cur,
 			})
-			if m.mcfg.Stats != nil {
-				m.mcfg.Stats.ReportFired(m.streak)
-			}
+			m.mcfg.Stats.ReportFired()
 			return true
 		}
 		// Alarm already raised and the stream still doesn't match: try a
@@ -467,14 +424,34 @@ func (m *Monitor) handleRejection(sts *STS, out *WindowOutcome, rec *obs.WindowR
 		if m.streak > 2*reportThreshold {
 			if id, ok := m.bestRegionGlobal(); ok {
 				m.switchTo(id)
-				if rec != nil {
-					rec.Transition = obs.TransRelock
-					rec.SwitchTo = int(id)
-				}
+				m.rec.Transition = obs.TransRelock
+				m.rec.SwitchTo = int(id)
 			}
 		}
 	}
 	return false
+}
+
+// probe tests a candidate region against the most recent windows — at
+// most probeWindows of them, so at a true border the group holds only
+// the new region's windows — and returns its match score, one minus the
+// best mode's rank-rejection fraction. ok is false when too few windows
+// have been seen, the region rejects, or the score falls short of
+// changeFraction. Probes keep no provenance.
+func (m *Monitor) probe(rm *RegionModel) (score float64, ok bool) {
+	n := m.groupSize(rm)
+	if n > probeWindows {
+		n = probeWindows
+	}
+	if m.seen < n {
+		return 0, false
+	}
+	res := m.evalRegion(rm, n, nil)
+	if res.rejected {
+		return 0, false
+	}
+	score = 1 - res.bestRejFrac
+	return score, score >= changeFraction
 }
 
 // bestRegionGlobal probes every modeled region (ignoring the successor
@@ -490,19 +467,7 @@ func (m *Monitor) bestRegionGlobal() (cfg.RegionID, bool) {
 		if !rm.Testable() {
 			continue
 		}
-		n := m.groupSize(rm)
-		if n > probeWindows {
-			n = probeWindows
-		}
-		if m.seen < n {
-			continue
-		}
-		res := m.evalRegion(rm, n, nil)
-		if res.rejected {
-			continue
-		}
-		score := 1 - res.bestRejFrac
-		if score >= changeFraction && score > bestScore {
+		if score, ok := m.probe(rm); ok && score > bestScore {
 			bestScore = score
 			bestID = id
 		}
@@ -527,19 +492,7 @@ func (m *Monitor) bestSuccessor() (cfg.RegionID, bool) {
 			}
 			continue
 		}
-		n := m.groupSize(rm)
-		if n > probeWindows {
-			n = probeWindows
-		}
-		if m.seen < n {
-			continue
-		}
-		res := m.evalRegion(rm, n, nil)
-		if res.rejected {
-			continue
-		}
-		score := 1 - res.bestRejFrac
-		if score >= changeFraction && score > bestScore {
+		if score, ok := m.probe(rm); ok && score > bestScore {
 			bestScore = score
 			bestID = succ
 		}
@@ -568,9 +521,7 @@ func (m *Monitor) switchTo(id cfg.RegionID) {
 		m.alarm = false
 		return
 	}
-	if m.mcfg.Stats != nil {
-		m.mcfg.Stats.RegionSwitch(m.cur, id)
-	}
+	m.mcfg.Stats.RegionSwitch()
 	m.track.Instant("region_switch")
 	m.cur = id
 	m.streak = 0
@@ -674,7 +625,8 @@ func rankOf(v []float64, k int) float64 {
 // evalRegion tests the last n windows against a region model, starting the
 // mode scan at the region's last good mode. rec, when non-nil, receives
 // the evaluation's provenance (group size, best mode, per-rank K-S
-// statistics); the decision itself is unchanged by capture.
+// statistics); the decision itself is unchanged by capture. Probes pass
+// nil.
 func (m *Monitor) evalRegion(rm *RegionModel, n int, rec *obs.WindowRecord) evalResult {
 	g := m.fillGroups(n)
 	start := 0
@@ -689,9 +641,7 @@ func (m *Monitor) evalRegion(rm *RegionModel, n int, rec *obs.WindowRecord) eval
 	if !res.rejected && res.bestMode >= 0 {
 		m.lastMode[rm.Region] = res.bestMode
 	}
-	if m.mcfg.Stats != nil {
-		m.mcfg.Stats.KSTest(rm.Region, res.bestRejFrac, res.rejected)
-	}
+	m.mcfg.Stats.KSTest(rm.Region, res.bestRejFrac, res.rejected)
 	if rec != nil {
 		rec.Tested = true
 		rec.GroupSize = n
@@ -707,11 +657,6 @@ func (m *Monitor) evalRegion(rm *RegionModel, n int, rec *obs.WindowRecord) eval
 		}
 	}
 	return res
-}
-
-// regionRejects runs the region decision over the last n observed windows.
-func (m *Monitor) regionRejects(rm *RegionModel, n int, rec *obs.WindowRecord) bool {
-	return m.evalRegion(rm, n, rec).rejected
 }
 
 // push appends an STS's peak-frequency vector and energy to the history

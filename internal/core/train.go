@@ -199,15 +199,7 @@ func buildRegionModel(id cfg.RegionID, machine *cfg.Machine, windows []STS) *Reg
 		NumPeaks:     numPeaks,
 		TrainWindows: len(windows),
 	}
-	rm.Ref = make([][]float64, numPeaks)
-	for k := 0; k < numPeaks; k++ {
-		ref := make([]float64, len(windows))
-		for i := range windows {
-			ref[i] = windows[i].PeakAt(k)
-		}
-		sort.Float64s(ref)
-		rm.Ref[k] = ref
-	}
+	rm.Ref = rankRefs(windows, numPeaks)
 	rm.CountRef = make([]float64, len(windows))
 	rm.EnergyRef = make([]float64, len(windows))
 	for i := range windows {
@@ -240,16 +232,7 @@ func buildModes(rm *RegionModel, seqs []taggedSeq) {
 		if len(windows) < minModeWindows {
 			continue
 		}
-		mode := RegionMode{Run: run, Ref: make([][]float64, rm.NumPeaks)}
-		for k := 0; k < rm.NumPeaks; k++ {
-			ref := make([]float64, len(windows))
-			for i := range windows {
-				ref[i] = windows[i].PeakAt(k)
-			}
-			sort.Float64s(ref)
-			mode.Ref[k] = ref
-		}
-		rm.Modes = append(rm.Modes, mode)
+		rm.Modes = append(rm.Modes, RegionMode{Run: run, Ref: rankRefs(windows, rm.NumPeaks)})
 	}
 	if len(rm.Modes) == 0 && len(byRun) > 0 {
 		// Every run's visit was too short for a per-run mode (typical for
@@ -260,17 +243,24 @@ func buildModes(rm *RegionModel, seqs []taggedSeq) {
 		for _, run := range runOrder {
 			all = append(all, byRun[run]...)
 		}
-		mode := RegionMode{Run: -1, Ref: make([][]float64, rm.NumPeaks)}
-		for k := 0; k < rm.NumPeaks; k++ {
-			ref := make([]float64, len(all))
-			for i := range all {
-				ref[i] = all[i].PeakAt(k)
-			}
-			sort.Float64s(ref)
-			mode.Ref[k] = ref
-		}
-		rm.Modes = append(rm.Modes, mode)
+		rm.Modes = append(rm.Modes, RegionMode{Run: -1, Ref: rankRefs(all, rm.NumPeaks)})
 	}
+}
+
+// rankRefs builds the sorted per-rank reference samples of a window set:
+// row k holds every window's rank-k peak frequency (zero past a window's
+// last peak), sorted ascending.
+func rankRefs(windows []STS, ranks int) [][]float64 {
+	refs := make([][]float64, ranks)
+	for k := range refs {
+		ref := make([]float64, len(windows))
+		for i := range windows {
+			ref[i] = windows[i].PeakAt(k)
+		}
+		sort.Float64s(ref)
+		refs[k] = ref
+	}
+	return refs
 }
 
 // selectGroupSize implements §4.3: apply the K-S test to training-time

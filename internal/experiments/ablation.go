@@ -68,7 +68,7 @@ func AblationUTest(e *Env, w io.Writer) (*AblationUTestResult, error) {
 			// the monitor, restricted to rank 0).
 			ksAll, uAll, adAll := true, true, true
 			for _, mode := range rm.Modes {
-				if !stats.KSRejectSorted(mode.Ref[0], g, scratch, cAlpha) {
+				if d, crit := stats.KSRejectStatSorted(mode.Ref[0], g, scratch, cAlpha); d <= crit {
 					ksAll = false
 				}
 				ures, err := stats.UTest(mode.Ref[0], g, t.model.Alpha)

@@ -314,6 +314,7 @@ func robustnessDrift(e *Env, t *trained, run *pipeline.Run) (*DriftLeg, error) {
 			STFT:    e.Sim.STFT,
 			Peaks:   e.Sim.Peaks,
 			Monitor: mc,
+			Metrics: mc.Stats,
 		})
 	}
 	static, err := mkDet(core.AdaptConfig{})
@@ -461,10 +462,6 @@ func robustnessStream(e *Env, t *trained, run *pipeline.Run) (*StreamRobustness,
 			return w < len(run.STS) && run.STS[w].Injected
 		},
 	}
-	// The leg reports its own bundle, monitor counters included: a Stats
-	// hook inherited from the environment (eddie -metrics sets one) would
-	// keep the detector from forwarding m to the monitor.
-	cfg.Monitor.Stats = nil
 	d, err := stream.NewDetector(t.model, cfg)
 	if err != nil {
 		return nil, err

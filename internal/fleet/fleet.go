@@ -31,9 +31,10 @@ type Config struct {
 	// Stream is the per-session detector template: STFT, peak and
 	// monitor configuration. Each session gets its own copy (and its own
 	// flight recorder). The session overrides the template's per-session
-	// hooks (Tap, GroundTruth, Impair and the monitor's Stats and Flight
-	// are dropped), its Metrics (bound to the server registry) and its
-	// MaxHistoryWindows (fixed at 4096). STFT.SampleRate etc. must match
+	// hooks (Tap, GroundTruth and Impair are dropped; Metrics is bound to
+	// the server registry, Flight to the session's recorder), and its
+	// MaxHistoryWindows (fixed at 4096). Like every stream.Config, the
+	// monitor's own hooks are replaced by the stream-level ones. STFT.SampleRate etc. must match
 	// what the models were trained under.
 	Stream stream.Config
 	// MaxSessions bounds concurrent device sessions; further connections

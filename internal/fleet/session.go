@@ -253,8 +253,6 @@ func (ss *session) handshake() bool {
 	cfg.GroundTruth = nil
 	cfg.Impair = nil
 	cfg.Metrics = metrics.NewDetectorWith(ss.s.reg)
-	cfg.Monitor.Stats = nil
-	cfg.Monitor.Flight = nil
 	cfg.MaxHistoryWindows = maxHistoryWindows
 	if hello.DisableDCBlock {
 		cfg.DisableDCBlock = true

@@ -27,13 +27,13 @@ var statBuckets = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
 // drifting away from its frozen training-time reference.
 const DriftEWMAAlpha = 0.02
 
-// Detector bundles the instruments of one detector instance. It
-// implements core.MonitorStats, so handing it to a monitor (or a
-// stream.Detector, which forwards it) captures the monitoring internals:
-// K-S tests run, per-region statistic distributions, region switches and
-// report streaks. The stream layer adds sample/window counters and,
-// when ground truth is available, false-positive/negative counts and
-// detection latency.
+// Detector bundles the instruments of one detector instance. Handing
+// it to a monitor (core.MonitorConfig.Stats, or stream.Config.Metrics,
+// which the stream detector passes on) captures the monitoring
+// internals through its nil-safe hook methods: K-S tests run,
+// per-region statistic distributions, region switches and reports. The
+// stream layer adds sample/window counters and, when ground truth is
+// available, false-positive/negative counts and detection latency.
 type Detector struct {
 	// Reg is the backing registry; Snapshot/MarshalJSON/Publish live
 	// there.
@@ -140,9 +140,12 @@ func NewDetectorWith(reg *Registry) *Detector {
 	}
 }
 
-// KSTest implements core.MonitorStats: one region-level K-S decision,
-// with the best-mode rejection fraction as the test statistic.
+// KSTest counts one region-level K-S decision of the monitor, with the
+// best-mode rejection fraction as the test statistic. No-op on nil.
 func (d *Detector) KSTest(region cfg.RegionID, rejFrac float64, rejected bool) {
+	if d == nil {
+		return
+	}
 	d.KSTests.Inc()
 	if rejected {
 		d.KSRejects.Inc()
@@ -156,9 +159,12 @@ func (d *Detector) KSTest(region cfg.RegionID, rejFrac float64, rejected bool) {
 	ri.statEWMA.ObserveEWMA(rejFrac, DriftEWMAAlpha)
 }
 
-// WindowObserved implements core.MonitorStats: one STS processed by the
-// monitor.
-func (d *Detector) WindowObserved(region cfg.RegionID, rejected, flagged bool) {
+// WindowObserved counts one STS processed by the monitor in the region
+// it ended the window in. No-op on nil.
+func (d *Detector) WindowObserved(region cfg.RegionID, rejected bool) {
+	if d == nil {
+		return
+	}
 	ri := d.region(region)
 	ri.windows.Inc()
 	if rejected {
@@ -166,14 +172,19 @@ func (d *Detector) WindowObserved(region cfg.RegionID, rejected, flagged bool) {
 	}
 }
 
-// ReportFired implements core.MonitorStats: an anomaly report was
-// raised after a rejection streak of the given length.
-func (d *Detector) ReportFired(streak int) {
+// ReportFired counts one anomaly report raised by the monitor. No-op on
+// nil.
+func (d *Detector) ReportFired() {
+	if d == nil {
+		return
+	}
 	d.ReportsFired.Inc()
 }
 
-// RegionSwitch implements core.MonitorStats: the monitor moved between
-// regions.
-func (d *Detector) RegionSwitch(from, to cfg.RegionID) {
+// RegionSwitch counts one monitor region transition. No-op on nil.
+func (d *Detector) RegionSwitch() {
+	if d == nil {
+		return
+	}
 	d.RegionSwitches.Inc()
 }

@@ -157,10 +157,10 @@ func TestDetectorMonitorStatsHooks(t *testing.T) {
 	d.KSTest(0, 0.4, false)
 	d.KSTest(0, 0.9, true)
 	d.KSTest(1, 0.1, false)
-	d.WindowObserved(0, true, false)
-	d.WindowObserved(1, false, false)
-	d.ReportFired(5)
-	d.RegionSwitch(0, 1)
+	d.WindowObserved(0, true)
+	d.WindowObserved(1, false)
+	d.ReportFired()
+	d.RegionSwitch()
 
 	if d.KSTests.Value() != 3 || d.KSRejects.Value() != 1 {
 		t.Errorf("ks tests/rejects %d/%d, want 3/1", d.KSTests.Value(), d.KSRejects.Value())
@@ -175,6 +175,13 @@ func TestDetectorMonitorStatsHooks(t *testing.T) {
 	if c, ok := snap["region_rejects/R0"].(int64); !ok || c != 1 {
 		t.Errorf("region_rejects/R0 = %v, want 1", snap["region_rejects/R0"])
 	}
+
+	// A monitor without a Stats bundle calls the hooks on nil.
+	var none *Detector
+	none.KSTest(0, 0.5, true)
+	none.WindowObserved(0, true)
+	none.ReportFired()
+	none.RegionSwitch()
 }
 
 func TestRegistryPublish(t *testing.T) {

@@ -123,9 +123,9 @@ const DefaultFlightDepth = 64
 
 // FlightRecorder keeps the last N window records in a ring and
 // snapshots them into an AlarmDump when a report fires, so a detection
-// always comes with its evidence attached. A nil *FlightRecorder is the
-// disabled state: Record and Alarm are no-ops, and the monitor's
-// decision loop stays allocation-free.
+// always comes with its evidence attached. A nil *FlightRecorder keeps
+// nothing: Record and Alarm are no-ops. The monitor builds its window
+// record the same way whether or not a recorder is attached.
 type FlightRecorder struct {
 	mu      sync.Mutex
 	depth   int

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzKSPresorted asserts the presorted decision kernel is bit-identical
-// to the copy-and-sort kernel on arbitrary inputs: same statistic, same
-// critical value, same verdict. This is the contract the monitor's
-// sort-once hot path rests on.
+// FuzzKSPresorted checks the presorted decision kernel on arbitrary
+// inputs (the contract the monitor's sort-once hot path rests on): its D
+// must match the brute-force ECDF statistic to within 1e-12, ties
+// included, and its (D, critical) pair must be bit-identical to the
+// copy-and-sort reference.
 func FuzzKSPresorted(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, []byte{4, 3, 2, 1}, 0.01)
 	f.Add([]byte{0, 0, 0}, []byte{0, 0}, 0.05)
@@ -31,19 +32,41 @@ func FuzzKSPresorted(f *testing.F) {
 			mon[i] = float64(v) / 3
 		}
 		sort.Float64s(ref)
-		scratch := make([]float64, len(mon))
-		wantD, wantCrit := KSRejectStatSorted(ref, mon, scratch, cAlpha)
-		wantReject := KSRejectSorted(ref, mon, scratch, cAlpha)
 		monSorted := append([]float64(nil), mon...)
 		Sort(monSorted)
 		gotD, gotCrit := KSRejectStatPresorted(ref, monSorted, cAlpha)
+		if want := bruteKSD(t, ref, mon); math.Abs(gotD-want) > 1e-12 {
+			t.Fatalf("presorted D = %g, brute-force ECDF D = %g", gotD, want)
+		}
+		scratch := make([]float64, len(mon))
+		wantD, wantCrit := KSRejectStatSorted(ref, mon, scratch, cAlpha)
 		if gotD != wantD || gotCrit != wantCrit {
 			t.Fatalf("presorted (d=%g, crit=%g) != copy-and-sort (d=%g, crit=%g)", gotD, gotCrit, wantD, wantCrit)
 		}
-		if got := KSRejectPresorted(ref, monSorted, cAlpha); got != wantReject {
-			t.Fatalf("presorted verdict %v != copy-and-sort verdict %v", got, wantReject)
-		}
 	})
+}
+
+// bruteKSD is the two-sample K-S statistic by definition, independent of
+// the merge kernel: the largest |F_ref(x) - F_mon(x)| over every sample
+// point x, read off two ECDFs. Both ECDFs are right-continuous steps
+// that change only at sample points, so the supremum is attained there.
+func bruteKSD(t testing.TB, ref, mon []float64) float64 {
+	t.Helper()
+	fr, err := NewECDF(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, err := NewECDF(mon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d float64
+	for _, s := range [][]float64{ref, mon} {
+		for _, x := range s {
+			d = math.Max(d, math.Abs(fr.At(x)-fm.At(x)))
+		}
+	}
+	return d
 }
 
 // FuzzKSStatistic checks the two-sample K-S statistic invariants on

@@ -55,49 +55,30 @@ func KSTest(ref, mon []float64, alpha float64) (KSResult, error) {
 	}, nil
 }
 
-// KSRejectSorted is the allocation-light copy-and-sort K-S test:
+// KSRejectStatSorted is the allocation-light copy-and-sort K-S test:
 // refSorted must already be sorted ascending; mon is copied into scratch
-// (which must have len >= len(mon)) and sorted there. It is the
-// reference the presorted kernel is tested against. cAlpha is
-// KolmogorovInverse(1-alpha), computed once by the caller. It reports
-// whether H0 (same population) is rejected.
-func KSRejectSorted(refSorted, mon, scratch []float64, cAlpha float64) bool {
-	d, crit := KSRejectStatSorted(refSorted, mon, scratch, cAlpha)
-	return d > crit
-}
-
-// KSRejectStatSorted is KSRejectSorted's evidence-preserving form: it
-// returns the K-S statistic D and the critical value it is compared to
-// (rejection is d > crit). The arithmetic is shared with KSRejectSorted,
-// so recording provenance can never change a decision.
+// (which must have len >= len(mon)) and sorted there. It returns the K-S
+// statistic D and the critical value it is compared to (H0, same
+// population, is rejected when d > crit). cAlpha is
+// KolmogorovInverse(1-alpha), computed once by the caller. It is the
+// reference the presorted kernel is tested against.
 func KSRejectStatSorted(refSorted, mon, scratch []float64, cAlpha float64) (d, crit float64) {
 	n := copy(scratch, mon)
 	s := scratch[:n]
 	sort.Float64s(s)
-	d = ksStatSorted(refSorted, s)
-	m := float64(len(refSorted))
-	nf := float64(n)
-	crit = cAlpha * math.Sqrt((m+nf)/(m*nf))
-	return d, crit
+	return KSRejectStatPresorted(refSorted, s, cAlpha)
 }
 
-// KSRejectPresorted is the zero-copy K-S decision kernel: both samples
-// must already be sorted ascending. The monitor's sort-once decision path
-// sorts each monitored rank group a single time per window (incrementally
-// where the window slides) and then re-tests it unchanged against every
-// training mode and candidate region, so the per-test cost collapses to
-// one merge pass. It reports whether H0 (same population) is rejected.
-func KSRejectPresorted(refSorted, monSorted []float64, cAlpha float64) bool {
-	d, crit := KSRejectStatPresorted(refSorted, monSorted, cAlpha)
-	return d > crit
-}
-
-// KSRejectStatPresorted is KSRejectPresorted's evidence-preserving form.
-// It shares ksStatSorted and the critical-value arithmetic with
-// KSRejectStatSorted, and sorting is a pure permutation, so for equal
-// multisets the (d, crit) pair — and therefore every verdict and every
-// recorded provenance statistic — is bit-identical to the copy-and-sort
-// reference.
+// KSRejectStatPresorted is the zero-copy K-S decision kernel: both
+// samples must already be sorted ascending. The monitor's sort-once
+// decision path sorts each monitored rank group a single time per window
+// (incrementally where the window slides) and then re-tests it unchanged
+// against every training mode and candidate region, so the per-test cost
+// collapses to one merge pass. It returns D and the critical value
+// (rejection is d > crit); the caller thresholds and may record both, so
+// recording provenance can never change a decision. Sorting is a pure
+// permutation, so for equal multisets the (d, crit) pair is
+// bit-identical to KSRejectStatSorted's.
 func KSRejectStatPresorted(refSorted, monSorted []float64, cAlpha float64) (d, crit float64) {
 	d = ksStatSorted(refSorted, monSorted)
 	m := float64(len(refSorted))

@@ -209,8 +209,8 @@ func TestKSRejectSortedMatchesKSTest(t *testing.T) {
 		}
 		sortedRef := append([]float64(nil), ref...)
 		sortFloats(sortedRef)
-		got := KSRejectSorted(sortedRef, mon, scratch, cAlpha)
-		if got != want.Reject {
+		d, crit := KSRejectStatSorted(sortedRef, mon, scratch, cAlpha)
+		if got := d > crit; got != want.Reject {
 			t.Fatalf("trial %d: fast path %v, reference %v (D=%g crit=%g)", i, got, want.Reject, want.D, want.Critical)
 		}
 	}
@@ -426,7 +426,7 @@ func TestANOVAValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkKSRejectSorted(b *testing.B) {
+func BenchmarkKSRejectStatSorted(b *testing.B) {
 	r := rand.New(rand.NewSource(14))
 	ref := make([]float64, 1000)
 	for i := range ref {
@@ -441,7 +441,7 @@ func BenchmarkKSRejectSorted(b *testing.B) {
 	cAlpha := KolmogorovInverse(0.99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		KSRejectSorted(ref, mon, scratch, cAlpha)
+		KSRejectStatSorted(ref, mon, scratch, cAlpha)
 	}
 }
 

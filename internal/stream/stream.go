@@ -33,7 +33,9 @@ type Config struct {
 	// trained with a denoise config sees exactly the spectra a detector
 	// with that config produces.
 	Denoise dsp.DenoiseConfig
-	// Monitor is the monitoring configuration.
+	// Monitor is the monitoring configuration. Its hooks (Stats, Trace,
+	// Flight) are replaced by Metrics, Trace and Flight below, so a
+	// detector has one attach point per hook.
 	Monitor core.MonitorConfig
 	// DisableDCBlock feeds samples through unmodified. Use it when the
 	// input is already AC-coupled (e.g. a pre-detrended capture). The DC
@@ -48,8 +50,7 @@ type Config struct {
 	// never modified.
 	Impair impair.Transform
 	// Metrics, when non-nil, receives the detector's runtime counters
-	// and histograms (and is forwarded to the monitor as its Stats hook
-	// unless Monitor.Stats is already set).
+	// and histograms, and becomes the monitor's Stats hook.
 	Metrics *metrics.Detector
 	// GroundTruth, when non-nil, labels window indices as injected
 	// ground truth; the detector then maintains false-positive/negative
@@ -62,13 +63,12 @@ type Config struct {
 	Tap func(sts *core.STS)
 	// Trace, when non-nil, records spans for the detector's stages
 	// (impair, then the front end's stft, denoise and peaks) on a
-	// "stream" track and is forwarded to the monitor (unless
-	// Monitor.Trace is already set) for its per-window decision spans.
-	// Nil costs nothing.
+	// "stream" track, and becomes the monitor's Trace hook for its
+	// per-window decision spans. Nil costs nothing.
 	Trace *obs.Recorder
-	// Flight, when non-nil, is forwarded to the monitor (unless
-	// Monitor.Flight is already set): every window's decision provenance
-	// lands in its ring and each fired report snapshots an alarm dump.
+	// Flight, when non-nil, becomes the monitor's Flight hook: every
+	// window's decision provenance lands in its ring and each fired
+	// report snapshots an alarm dump.
 	Flight *obs.FlightRecorder
 	// MaxHistoryWindows bounds the monitor's retained per-window outcome
 	// and report history. Zero keeps everything (the offline/evaluation
@@ -123,15 +123,9 @@ func NewDetector(model *core.Model, cfg Config) (*Detector, error) {
 	if cfg.MaxHistoryWindows < 0 {
 		return nil, fmt.Errorf("stream: negative history bound %d", cfg.MaxHistoryWindows)
 	}
-	if cfg.Metrics != nil && cfg.Monitor.Stats == nil {
-		cfg.Monitor.Stats = cfg.Metrics
-	}
-	if cfg.Trace != nil && cfg.Monitor.Trace == nil {
-		cfg.Monitor.Trace = cfg.Trace
-	}
-	if cfg.Flight != nil && cfg.Monitor.Flight == nil {
-		cfg.Monitor.Flight = cfg.Flight
-	}
+	cfg.Monitor.Stats = cfg.Metrics
+	cfg.Monitor.Trace = cfg.Trace
+	cfg.Monitor.Flight = cfg.Flight
 	mon, err := core.NewMonitor(model, cfg.Monitor)
 	if err != nil {
 		return nil, err
