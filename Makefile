@@ -1,4 +1,4 @@
-.PHONY: all build vet lint test race bench bench-harness bench-dsp obs-bench bench-obs bench-decision bench-decision-smoke bench-denoise bench-fleet bench-fleet-smoke cover fleet-smoke
+.PHONY: all build vet lint test race bench bench-harness bench-dsp obs-bench bench-obs bench-decision bench-decision-smoke bench-denoise bench-fleet bench-fleet-smoke cover fleet-smoke fuzz-smoke
 
 all: build test
 
@@ -40,6 +40,7 @@ lint: vet
 test: build lint
 	go test ./...
 	cd perfbench && go vet ./...
+	$(MAKE) fuzz-smoke
 	$(MAKE) bench-decision-smoke
 	$(MAKE) bench-fleet-smoke
 
@@ -117,13 +118,19 @@ bench-fleet:
 bench-fleet-smoke:
 	go run ./cmd/eddie-bench -fleet-bench /tmp/eddie-fleet-smoke.json -fleet-smoke
 
+# Fuzz smoke for `make test`: ten seconds of FuzzKSPresorted, which
+# requires the merge and search K-S kernels to return the same D bit for
+# bit in both argument orders, and to match the brute-force ECDF.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzKSPresorted$$' -fuzztime 10s ./internal/stats
+
 # Cheap decision-bench gate for `make test`: the driver must build, and
 # the go-test decision benchmarks must run (one iteration each) without
 # failing — catches bit-rot in the benchmark harness without paying for
 # a full timing run.
 bench-decision-smoke:
 	go build -o /dev/null ./cmd/eddie-bench
-	go test -short -run '^$$' -bench 'BenchmarkEvalGroups|BenchmarkObserveMultiMode|BenchmarkKSStatistic|BenchmarkKSRejectStatPresorted' -benchtime 1x ./internal/core ./internal/stats
+	go test -short -run '^$$' -bench 'BenchmarkEvalGroups|BenchmarkObserveMultiMode|BenchmarkObserveFleetModel|BenchmarkKSStatistic|BenchmarkKSRejectStatPresorted' -benchtime 1x ./internal/core ./internal/stats
 
 # Observability overhead check: asserts the monitor's decision loop does
 # 0 allocs/op with tracing/flight recording disabled (the default), that

@@ -32,8 +32,17 @@ func runDecisionBench(path string) error {
 	}
 	clean := synthbench.Stream(machine, 2000, peaks, 1)
 	anomalous := synthbench.Stream(machine, 2000, peaks, 1.05)
+	fleetSTFT, fleetPeaks := synthbench.FleetSTFT(), synthbench.FleetPeaks()
+	fleetModel, _, err := synthbench.TrainSignalModel(4, 200_000, fleetSTFT, fleetPeaks)
+	if err != nil {
+		return err
+	}
+	fleetClean, err := synthbench.SignalSTS(200_000, fleetSTFT, fleetPeaks, 101, 1)
+	if err != nil {
+		return err
+	}
 
-	observe := func(stream []core.STS, scale float64) func(b *testing.B) {
+	observe := func(model *core.Model, stream []core.STS, scale float64) func(b *testing.B) {
 		return func(b *testing.B) {
 			mcfg := core.DefaultMonitorConfig()
 			mcfg.GroupSizeScale = scale
@@ -68,10 +77,14 @@ func runDecisionBench(path string) error {
 	benches := []kernelBench{
 		// Steady accept path (the fleet server's common case). The
 		// regression gate below anchors on "Observe".
-		{"Observe", nests, observe(clean, 0)},
+		{"Observe", nests, observe(model, clean, 0)},
 		// Multi-mode/multi-region worst case: groups 5% off all 16
 		// modes, scale 8 puts the group size at the paper's maximum 96.
-		{"ObserveMultiMode", nests, observe(anomalous, 8)},
+		{"ObserveMultiMode", nests, observe(model, anomalous, 8)},
+		// Steady accept path on the fleet benchmarks' trained signal
+		// model: one region, four modes of ~778 windows each, so every
+		// test counts a long reference against a short group.
+		{"ObserveFleetModel", 1, observe(fleetModel, fleetClean, 0)},
 		{"TrainWorkers1", nests, train(1)},
 		{"TrainWorkers2", nests, train(2)},
 		{"TrainWorkers4", nests, train(4)},

@@ -143,9 +143,7 @@ type fleetBenchEnv struct {
 
 func newFleetBenchEnv() (*fleetBenchEnv, error) {
 	stft := synthbench.FleetSTFT()
-	peaks := dsp.DefaultPeakConfig()
-	peaks.MinEnergyFraction = 0.02
-	peaks.MinBin = 3
+	peaks := synthbench.FleetPeaks()
 	model, _, err := synthbench.TrainSignalModel(4, 200_000, stft, peaks)
 	if err != nil {
 		return nil, err

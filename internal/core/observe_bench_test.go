@@ -51,6 +51,24 @@ func BenchmarkObserveClean(b *testing.B) {
 	benchObserve(b, model, core.DefaultMonitorConfig(), clean)
 }
 
+// BenchmarkObserveFleetModel is the steady accept path on the fleet
+// benchmarks' trained signal model: one region, four modes of ~778
+// windows each, groups of a few windows. Its trained references are
+// long, as real ones are, so the per-test K-S cost sits in the
+// reference-counting kernel rather than in the group.
+func BenchmarkObserveFleetModel(b *testing.B) {
+	stft, peaks := synthbench.FleetSTFT(), synthbench.FleetPeaks()
+	model, _, err := synthbench.TrainSignalModel(4, 200_000, stft, peaks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clean, err := synthbench.SignalSTS(200_000, stft, peaks, 101, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchObserve(b, model, core.DefaultMonitorConfig(), clean)
+}
+
 // benchObserve warms a monitor over one pass of stream, then times
 // Observe cycling through it.
 func benchObserve(b *testing.B, model *core.Model, mcfg core.MonitorConfig, stream []core.STS) {

@@ -73,12 +73,13 @@ func KSRejectStatSorted(refSorted, mon, scratch []float64, cAlpha float64) (d, c
 // samples must already be sorted ascending. The monitor's sort-once
 // decision path sorts each monitored rank group a single time per window
 // (incrementally where the window slides) and then re-tests it unchanged
-// against every training mode and candidate region, so the per-test cost
-// collapses to one merge pass. It returns D and the critical value
-// (rejection is d > crit); the caller thresholds and may record both, so
-// recording provenance can never change a decision. Sorting is a pure
-// permutation, so for equal multisets the (d, crit) pair is
-// bit-identical to KSRejectStatSorted's.
+// against every training mode and candidate region. Each test then counts
+// the trained reference (m) by binary search at the group's (n) values,
+// O(n log m) rather than a merge over both (see ksStatSorted). It returns
+// D and the critical value (rejection is d > crit); the caller thresholds
+// and may record both, so recording provenance can never change a
+// decision. Sorting is a pure permutation, so for equal multisets the
+// (d, crit) pair is bit-identical to KSRejectStatSorted's.
 func KSRejectStatPresorted(refSorted, monSorted []float64, cAlpha float64) (d, crit float64) {
 	d = ksStatSorted(refSorted, monSorted)
 	m := float64(len(refSorted))
@@ -88,32 +89,105 @@ func KSRejectStatPresorted(refSorted, monSorted []float64, cAlpha float64) (d, c
 }
 
 // ksStatSorted computes the two-sample K-S statistic over two already
-// sorted samples.
+// sorted samples by counting the longer one at the shorter one's values
+// (ksStatSearch). D is symmetric and fl(a-b) = -fl(b-a), so which sample
+// is counted changes no bit.
 func ksStatSorted(as, bs []float64) float64 {
-	var i, j int
+	if len(as) < len(bs) {
+		as, bs = bs, as
+	}
+	return ksStatSearch(as, bs)
+}
+
+// ksStatSearch is the K-S kernel for a sorted sample as (size m) against
+// a sorted sample bs (size n <= m), in O(n log(m/n) + n): it walks the
+// distinct values of bs and counts as by galloping search, resumed from
+// the previous count.
+//
+// Between two consecutive distinct values v < w of bs, F_b is constant
+// at j/n while F_a only rises, and for a fixed j fl(i/m - j/n) is
+// monotone in i, so |fl(i/m - j/n)| over that gap peaks at one of its
+// two ends: i = #{as <= v} (at x = v) or i = #{as < w} (just below w).
+// Both are (i, j) pairs a merge pass over both samples visits (the
+// tests' reference, ksStatMerge), and every other pair it visits lies
+// between them, so the maximum is the merge's D bit for bit.
+// The pairs past the end of either sample, which the merge never
+// visits, are dominated by the last pair it does visit.
+func ksStatSearch(as, bs []float64) float64 {
 	var d float64
 	m := float64(len(as))
 	n := float64(len(bs))
-	for i < len(as) && j < len(bs) {
-		x := math.Min(as[i], bs[j])
-		for i < len(as) && as[i] <= x {
-			i++
+	i := 0
+	for j := 0; j < len(bs); {
+		v := bs[j]
+		// End of the gap below v: the reference strictly below v.
+		i = gallopGE(as, i, v)
+		if diff := math.Abs(float64(i)/m - float64(j)/n); diff > d {
+			d = diff
 		}
-		for j < len(bs) && bs[j] <= x {
+		for j < len(bs) && bs[j] <= v {
 			j++
 		}
-		diff := math.Abs(float64(i)/m - float64(j)/n)
-		if diff > d {
+		// Start of the gap above v: the reference at or below v.
+		i = gallopGT(as, i, v)
+		if diff := math.Abs(float64(i)/m - float64(j)/n); diff > d {
 			d = diff
 		}
 	}
 	return d
 }
 
+// gallopGE returns the first index k >= lo with s[k] >= v (len(s) when
+// there is none), s sorted ascending: exponential probes from lo, then a
+// binary search inside the bracket they find.
+func gallopGE(s []float64, lo int, v float64) int {
+	hi, step := lo, 1
+	for hi < len(s) && s[hi] < v {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	if hi > len(s) {
+		hi = len(s)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// gallopGT is gallopGE for the first k >= lo with s[k] > v.
+func gallopGT(s []float64, lo int, v float64) int {
+	hi, step := lo, 1
+	for hi < len(s) && s[hi] <= v {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	if hi > len(s) {
+		hi = len(s)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // KSStatistic computes the two-sample K-S statistic
-// D = max_x |F_ref(x) - F_mon(x)| with a single merge pass over the two
-// sorted samples. It copies both inputs into one backing slice (a single
-// allocation) before sorting, leaving the arguments unmodified.
+// D = max_x |F_ref(x) - F_mon(x)| over the two sorted samples, counting
+// the longer one by binary search (ksStatSorted). It copies both inputs
+// into one backing slice (a single allocation) before sorting, leaving
+// the arguments unmodified.
 func KSStatistic(a, b []float64) float64 {
 	buf := make([]float64, len(a)+len(b))
 	as := buf[:len(a):len(a)]

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -131,7 +132,8 @@ func TestKSPresortedMatchesSorted(t *testing.T) {
 }
 
 // TestKSStatisticAllocs pins the single-backing-slice optimization: one
-// allocation per call regardless of input sizes.
+// allocation per call regardless of input sizes, and none at all for the
+// presorted kernel's binary-search counting.
 func TestKSStatisticAllocs(t *testing.T) {
 	a := make([]float64, 300)
 	b := make([]float64, 70)
@@ -174,23 +176,29 @@ func BenchmarkKSStatistic(b *testing.B) {
 	}
 }
 
-// BenchmarkKSRejectStatPresorted is the sort-once hot-path kernel: one
-// merge pass, zero copies, zero allocations.
+// BenchmarkKSRejectStatPresorted is the sort-once hot-path kernel, zero
+// copies and zero allocations, at the shapes the monitor sees: the fleet
+// model's trained reference against its group (m = 778, n = 8) and a
+// comparable-size pair (m = 256, n = 64).
 func BenchmarkKSRejectStatPresorted(b *testing.B) {
-	ref := make([]float64, 256)
-	mon := make([]float64, 64)
-	rng := rand.New(rand.NewSource(2))
-	for i := range ref {
-		ref[i] = rng.Float64()
-	}
-	for i := range mon {
-		mon[i] = rng.Float64()
-	}
-	sort.Float64s(ref)
-	sort.Float64s(mon)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		KSRejectStatPresorted(ref, mon, 1.6276)
+	for _, sz := range []struct{ m, n int }{{778, 8}, {256, 64}} {
+		b.Run(fmt.Sprintf("m=%d,n=%d", sz.m, sz.n), func(b *testing.B) {
+			ref := make([]float64, sz.m)
+			mon := make([]float64, sz.n)
+			rng := rand.New(rand.NewSource(2))
+			for i := range ref {
+				ref[i] = rng.Float64()
+			}
+			for i := range mon {
+				mon[i] = rng.Float64()
+			}
+			sort.Float64s(ref)
+			sort.Float64s(mon)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				KSRejectStatPresorted(ref, mon, 1.6276)
+			}
+		})
 	}
 }

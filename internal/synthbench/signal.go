@@ -30,6 +30,16 @@ func FleetSTFT() dsp.STFTConfig {
 	}
 }
 
+// FleetPeaks is the peak configuration the fleet-load benchmarks pair
+// with FleetSTFT: the 2%-of-AC-energy rule with the lowest bins
+// excluded, as the offline pipeline's default.
+func FleetPeaks() dsp.PeakConfig {
+	p := dsp.DefaultPeakConfig()
+	p.MinEnergyFraction = 0.02
+	p.MinBin = 3
+	return p
+}
+
 // signalPeaks is the harmonic count of a synthetic capture.
 const signalPeaks = 5
 
@@ -68,13 +78,11 @@ func TrainSignalModel(nRuns, samplesPerRun int, stft dsp.STFTConfig, peakCfg dsp
 		return nil, nil, err
 	}
 	region := m.LoopRegionOf(0)
-	fe, err := core.NewFrontend(stft, peakCfg, dsp.DenoiseConfig{})
-	if err != nil {
-		return nil, nil, err
-	}
 	runs := make([][]core.STS, nRuns)
 	for i := range runs {
-		runs[i] = fe.Capture(dsp.Detrend(Signal(samplesPerRun, stft, int64(i+1), 1)))
+		if runs[i], err = SignalSTS(samplesPerRun, stft, peakCfg, int64(i+1), 1); err != nil {
+			return nil, nil, err
+		}
 		for j := range runs[i] {
 			runs[i][j].Region = region
 		}
@@ -84,4 +92,15 @@ func TrainSignalModel(nRuns, samplesPerRun int, stft dsp.STFTConfig, peakCfg dsp
 		return nil, nil, err
 	}
 	return model, m, nil
+}
+
+// SignalSTS reduces Signal(n, stft, seed, shift) to STS windows the way
+// the fleet server reduces live streams: detrend, then a core.Frontend
+// without denoising.
+func SignalSTS(n int, stft dsp.STFTConfig, peakCfg dsp.PeakConfig, seed int64, shift float64) ([]core.STS, error) {
+	fe, err := core.NewFrontend(stft, peakCfg, dsp.DenoiseConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return fe.Capture(dsp.Detrend(Signal(n, stft, seed, shift))), nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"eddie/internal/core"
-	"eddie/internal/dsp"
 	"eddie/internal/stream"
 )
 
@@ -52,9 +51,7 @@ func TestGeneratorsDeterministic(t *testing.T) {
 // fresh clean capture and fires on the 5%-shifted anomalous variant.
 func TestSignalModelSeparatesStreams(t *testing.T) {
 	stft := FleetSTFT()
-	peaks := dsp.DefaultPeakConfig()
-	peaks.MinEnergyFraction = 0.02
-	peaks.MinBin = 3
+	peaks := FleetPeaks()
 	model, _, err := TrainSignalModel(4, 200_000, stft, peaks)
 	if err != nil {
 		t.Fatal(err)
