@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"testing"
 )
 
@@ -90,20 +91,38 @@ func (f *benchFile) result(name string) *benchResult {
 func runBenches(benches []kernelBench) *benchFile {
 	out := &benchFile{benchHeader: newBenchHeader()}
 	for _, bm := range benches {
-		r := testing.Benchmark(bm.fn)
-		res := benchResult{
-			Name:        bm.name,
-			N:           bm.n,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		out.Results = append(out.Results, res)
-		fmt.Printf("%-24s n=%-7d %12.0f ns/op %10d B/op %6d allocs/op\n",
-			res.Name, res.N, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
+		out.Results = append(out.Results, timeBench(bm))
 	}
 	return out
+}
+
+// timeBench times one benchmark and prints its line.
+func timeBench(bm kernelBench) benchResult {
+	r := testing.Benchmark(bm.fn)
+	res := benchResult{
+		Name:        bm.name,
+		N:           bm.n,
+		Iterations:  r.N,
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+	}
+	fmt.Printf("%-24s n=%-7d %12.0f ns/op %10d B/op %6d allocs/op\n",
+		res.Name, res.N, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
+	return res
+}
+
+// timeMedian times one benchmark repeats times and returns the median
+// run by ns/op, so a gate on it does not turn on one slow host phase.
+func timeMedian(bm kernelBench, repeats int) benchResult {
+	runs := make([]benchResult, repeats)
+	for i := range runs {
+		runs[i] = timeBench(bm)
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].NsPerOp < runs[j].NsPerOp })
+	med := runs[repeats/2]
+	fmt.Printf("%-24s median of %d runs: %.0f ns/op\n", bm.name, repeats, med.NsPerOp)
+	return med
 }
 
 // better says which direction of a gated metric is an improvement.

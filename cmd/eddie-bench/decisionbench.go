@@ -9,9 +9,14 @@ import (
 	"eddie/internal/synthbench"
 )
 
+// observeRepeats is how many times the gated Observe benchmark runs; its
+// row holds the median run.
+const observeRepeats = 5
+
 // runDecisionBench times the monitor decision path and the training
 // fan-out on the synthetic multi-region benchmark model and writes
-// BENCH_decision.json, gated on the steady-state Observe benchmark.
+// BENCH_decision.json, gated on the median of observeRepeats runs of the
+// steady-state Observe benchmark.
 // TrainWorkersN is the training scaling (flat when GOMAXPROCS=1; the
 // file header records gomaxprocs and num_cpu).
 func runDecisionBench(path string) error {
@@ -74,10 +79,10 @@ func runDecisionBench(path string) error {
 		}
 	}
 
+	// Steady accept path (the fleet server's common case). The
+	// regression gate below anchors on its median row.
+	gated := kernelBench{"Observe", nests, observe(model, clean, 0)}
 	benches := []kernelBench{
-		// Steady accept path (the fleet server's common case). The
-		// regression gate below anchors on "Observe".
-		{"Observe", nests, observe(model, clean, 0)},
 		// Multi-mode/multi-region worst case: groups 5% off all 16
 		// modes, scale 8 puts the group size at the paper's maximum 96.
 		{"ObserveMultiMode", nests, observe(model, anomalous, 8)},
@@ -93,7 +98,9 @@ func runDecisionBench(path string) error {
 		benches = append(benches, kernelBench{fmt.Sprintf("TrainWorkers%d", p), nests, train(p)})
 	}
 
+	observeRow := timeMedian(gated, observeRepeats)
 	out := runBenches(benches)
+	out.Results = append([]benchResult{observeRow}, out.Results...)
 	if w1, w4 := out.result("TrainWorkers1"), out.result("TrainWorkers4"); w4.NsPerOp > 0 {
 		fmt.Printf("training speedup (1 worker / 4 workers): %.2fx at GOMAXPROCS=%d\n",
 			w1.NsPerOp/w4.NsPerOp, out.GOMAXPROCS)

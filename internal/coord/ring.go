@@ -168,18 +168,6 @@ func (r *Ring) Owner(key string, reject func(member string) bool) (string, bool)
 	return "", false
 }
 
-// Members returns the live members in sorted order.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len reports the live member count.
 func (r *Ring) Len() int {
 	r.mu.RLock()

@@ -196,7 +196,7 @@ func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 		ranks = len(mode.Ref)
 	}
 	// Per-rank distance gate: a clean verdict tolerates up to
-	// monitorRejectFraction of the ranks rejecting, and even accepted small
+	// rejectFraction of the ranks rejecting, and even accepted small
 	// groups sit a sizable K-S distance from the pooled reference — so
 	// each rank qualifies as a teacher individually. A rank is blended
 	// when it agrees with its current reference (D within adaptMaxKSDistance)

@@ -62,30 +62,24 @@ func (g *groupSet) sortAll() {
 	stats.Sort(g.energies)
 }
 
-// The region-level K-S test rejects when more than this fraction of the
-// peak ranks reject against every training mode (see evalGroups).
-// Training and monitoring use different values:
-const (
-	// trainRejectFraction (0.35) is the rule the §4.3 group-size sweep
-	// measures its false-rejection rates with.
-	trainRejectFraction = 0.35
-	// monitorRejectFraction (0.5) is the rule the monitor decides with.
-	// A group whose best mode has more than 35% but at most 50% of its
-	// ranks rejecting counts as a false rejection in the sweep, yet the
-	// monitor accepts it.
-	monitorRejectFraction = 0.5
-)
+// rejectFraction is the one region-acceptance rule: a group is rejected
+// when more than this fraction of its peak ranks reject against every
+// training mode (see evalGroups). The §4.3 group-size sweep measures its
+// false-rejection rates with the same rule the monitor decides with, so
+// each region's n is chosen for the test it is monitored with.
+const rejectFraction = 0.5
 
 // evalGroups applies the region decision to one monitored group set: the
 // group is accepted if its median peak count and median AC energy fall
 // inside the reference bounds and at least one training mode's per-rank
-// K-S tests accept it (rank rejections <= rejectFraction). modes may be a
-// subset of rm.Modes (leave-one-out during training); startMode rotates
-// the scan order so the monitor can re-test its last good mode first.
-// g must be sorted (see groupSet). prov, when non-nil, captures the best
-// mode's per-rank statistics: the same (D, critical) pairs the
+// K-S tests accept it (rank rejections <= rejectFraction of the ranks),
+// so an accepted group always has bestRejFrac <= rejectFraction. modes
+// may be a subset of rm.Modes (leave-one-out during training); startMode
+// rotates the scan order so the monitor can re-test its last good mode
+// first. g must be sorted (see groupSet). prov, when non-nil, captures
+// the best mode's per-rank statistics: the same (D, critical) pairs the
 // rejections are decided from, so capture never changes the verdict.
-func evalGroups(rm *RegionModel, modes []RegionMode, g *groupSet, rejectFraction, cAlpha float64, startMode int, prov *provCapture) evalResult {
+func evalGroups(rm *RegionModel, modes []RegionMode, g *groupSet, cAlpha float64, startMode int, prov *provCapture) evalResult {
 	res := evalResult{rejected: true, bestMode: -1, bestRejFrac: 1}
 	if prov != nil {
 		prov.best = prov.best[:0]

@@ -15,9 +15,6 @@ const (
 	// tolerated before an anomaly is reported; the paper uses 3 (an
 	// anomaly is reported on a 4-long-or-longer rejection streak).
 	reportThreshold = 3
-	// changeFraction is the fraction of a successor region's peak ranks
-	// that must accept for the monitor to switch to that region.
-	changeFraction = 0.5
 	// minTestWindows is the smallest K-S group the monitor will test;
 	// right after a region switch the monitor only has a few windows of
 	// the new region and waits until this many have accumulated.
@@ -251,10 +248,6 @@ func (m *Monitor) TrimHistory(keep int) {
 	}
 }
 
-// Trimmed returns how many outcomes TrimHistory has discarded; the
-// outcome of absolute window w lives at Outcomes[w-Trimmed()].
-func (m *Monitor) Trimmed() int { return m.trimmed }
-
 // OutcomeAt returns the outcome of the window with absolute index w
 // (counting every window ever observed, regardless of trimming). The
 // second result is false when the window was trimmed away or not yet
@@ -436,8 +429,9 @@ func (m *Monitor) handleRejection(sts *STS) bool {
 // most probeWindows of them, so at a true border the group holds only
 // the new region's windows — and returns its match score, one minus the
 // best mode's rank-rejection fraction. ok is false when too few windows
-// have been seen, the region rejects, or the score falls short of
-// changeFraction. Probes keep no provenance.
+// have been seen or the region rejects; an accepted region's score is
+// always at least 1-rejectFraction, so acceptance is the whole switch
+// rule. Probes keep no provenance.
 func (m *Monitor) probe(rm *RegionModel) (score float64, ok bool) {
 	n := m.groupSize(rm)
 	if n > probeWindows {
@@ -450,12 +444,11 @@ func (m *Monitor) probe(rm *RegionModel) (score float64, ok bool) {
 	if res.rejected {
 		return 0, false
 	}
-	score = 1 - res.bestRejFrac
-	return score, score >= changeFraction
+	return 1 - res.bestRejFrac, true
 }
 
 // bestRegionGlobal probes every modeled region (ignoring the successor
-// relation) and returns the best match, if any clears changeFraction.
+// relation) and returns the best match, if any region accepts.
 func (m *Monitor) bestRegionGlobal() (cfg.RegionID, bool) {
 	var bestID cfg.RegionID = cfg.NoRegion
 	bestScore := -1.0
@@ -476,7 +469,7 @@ func (m *Monitor) bestRegionGlobal() (cfg.RegionID, bool) {
 }
 
 // bestSuccessor evaluates the successors of the current region and
-// returns the best-matching one, if any clears changeFraction.
+// returns the best-matching one, if any accepts.
 func (m *Monitor) bestSuccessor() (cfg.RegionID, bool) {
 	var bestID cfg.RegionID = cfg.NoRegion
 	bestScore := -1.0
@@ -637,7 +630,7 @@ func (m *Monitor) evalRegion(rm *RegionModel, n int, rec *obs.WindowRecord) eval
 	if rec != nil {
 		pc = &m.prov
 	}
-	res := evalGroups(rm, rm.Modes, g, monitorRejectFraction, m.cAlpha, start, pc)
+	res := evalGroups(rm, rm.Modes, g, m.cAlpha, start, pc)
 	if !res.rejected && res.bestMode >= 0 {
 		m.lastMode[rm.Region] = res.bestMode
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // The training operating point: the §4.3 group-size selection and the
-// region modelling limits. The sweep decides with trainRejectFraction,
-// which sits beside the monitor's value in decision.go.
+// region modelling limits. The sweep decides with the monitor's rule,
+// rejectFraction in decision.go.
 const (
 	// maxPeakRanks caps how many peak ranks are tracked per region.
 	maxPeakRanks = 10
@@ -388,7 +388,7 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, cAlpha float64) int {
 				// Same decision rule as the monitor, against the modes of
 				// the *other* runs (leave-one-out), so the sweep measures
 				// generalization rather than self-match.
-				res := evalGroups(rm, modes, &g, trainRejectFraction, cAlpha, 0, nil)
+				res := evalGroups(rm, modes, &g, cAlpha, 0, nil)
 				if res.rejected {
 					rejected++
 				}

@@ -37,11 +37,6 @@ func (c STFTConfig) BinFrequency(bin int) float64 {
 	return float64(bin) * c.SampleRate / float64(c.WindowSize)
 }
 
-// FrameDuration returns the length of one analysis window in seconds.
-func (c STFTConfig) FrameDuration() float64 {
-	return float64(c.WindowSize) / c.SampleRate
-}
-
 // HopDuration returns the time advance between consecutive frames in seconds.
 func (c STFTConfig) HopDuration() float64 {
 	return float64(c.HopSize) / c.SampleRate

@@ -28,8 +28,7 @@ type BlockBuilder struct {
 }
 
 // NewBlock creates an empty block with a label and returns its builder.
-// The first block created becomes the program entry unless SetEntry is
-// called.
+// The first block created becomes the program entry.
 func (b *Builder) NewBlock(label string) *BlockBuilder {
 	id := BlockID(len(b.prog.Blocks))
 	b.prog.Blocks = append(b.prog.Blocks, Block{ID: id, Label: label})
@@ -39,9 +38,6 @@ func (b *Builder) NewBlock(label string) *BlockBuilder {
 	}
 	return &BlockBuilder{b: b, id: id}
 }
-
-// SetEntry overrides the program entry block.
-func (b *Builder) SetEntry(bb *BlockBuilder) { b.prog.Entry = bb.id }
 
 // Build finalizes and validates the program. It panics if any block lacks
 // a terminator or validation fails; a workload with such defects must not

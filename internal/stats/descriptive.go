@@ -97,21 +97,6 @@ func Histogram(xs []float64, lo, hi float64, nbins int) []int {
 	return counts
 }
 
-// FitNormal returns the maximum-likelihood normal parameters (mean, sigma)
-// of xs. Used for the Fig 2 illustration of why parametric fits fail.
-func FitNormal(xs []float64) (mu, sigma float64) {
-	mu = Mean(xs)
-	if len(xs) < 2 {
-		return mu, 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mu
-		ss += d * d
-	}
-	return mu, math.Sqrt(ss / float64(len(xs)))
-}
-
 // NormalPDF evaluates the normal density with the given parameters.
 func NormalPDF(x, mu, sigma float64) float64 {
 	if sigma <= 0 {
