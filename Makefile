@@ -1,4 +1,4 @@
-.PHONY: all build vet lint test race bench bench-harness bench-dsp obs-bench bench-obs bench-decision bench-decision-smoke bench-denoise bench-fleet bench-fleet-smoke cover fleet-smoke fuzz-smoke
+.PHONY: all build vet lint test race bench bench-harness bench-dsp obs-bench bench-obs bench-decision bench-decision-smoke bench-capture-smoke bench-denoise bench-fleet bench-fleet-smoke cover fleet-smoke fuzz-smoke
 
 all: build test
 
@@ -42,6 +42,7 @@ test: build lint
 	cd perfbench && go vet ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-decision-smoke
+	$(MAKE) bench-capture-smoke
 	$(MAKE) bench-fleet-smoke
 
 # Race tier: vet plus the short suite under the race detector. Exercises
@@ -131,6 +132,13 @@ fuzz-smoke:
 bench-decision-smoke:
 	go build -o /dev/null ./cmd/eddie-bench
 	go test -short -run '^$$' -bench 'BenchmarkEvalGroups|BenchmarkObserveMultiMode|BenchmarkObserveFleetModel|BenchmarkKSStatistic|BenchmarkKSRejectStatPresorted' -benchtime 1x ./internal/core ./internal/stats
+
+# Cheap capture-path benchmark run for `make test`: the simulator
+# (instructions/s on the test loop and on a MiBench workload under an
+# in-loop injector, both cores) and EM-channel (samples/s) benchmarks run
+# one iteration each, so their harnesses cannot bit-rot unseen.
+bench-capture-smoke:
+	go test -short -run '^$$' -bench 'BenchmarkEngineThroughput|BenchmarkTransmit' -benchtime 1x ./internal/sim ./internal/emsim
 
 # Observability overhead check: asserts the monitor's decision loop does
 # 0 allocs/op with tracing/flight recording disabled (the default), that

@@ -39,7 +39,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -119,17 +118,7 @@ func main() {
 		{"fig8", func() error { _, err := experiments.Fig8(e, os.Stdout); return err }},
 		{"fig9", func() error { _, err := experiments.Fig9(e, os.Stdout); return err }},
 		{"fig10", func() error { _, err := experiments.Fig10(e, os.Stdout); return err }},
-		{"robustness", func() error {
-			res, err := experiments.Robustness(e, os.Stdout)
-			if err != nil {
-				return err
-			}
-			b, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			return os.WriteFile("BENCH_robustness.json", append(b, '\n'), 0o644)
-		}},
+		{"robustness", func() error { _, err := experiments.Robustness(e, os.Stdout); return err }},
 		{"ablations", func() error {
 			if _, err := experiments.AblationUTest(e, os.Stdout); err != nil {
 				return err

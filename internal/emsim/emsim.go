@@ -125,10 +125,18 @@ func Transmit(power []float64, cfg ChannelConfig) ([]float64, error) {
 	noisePower := math.Pow(10, -cfg.SNRdB/10)
 	sigma := math.Sqrt(noisePower / 2)
 
+	// steps[i] is interferer i's phase advance per sample. Each angle
+	// below takes one math.Sincos, which returns the same bits as
+	// separate math.Sin and math.Cos calls for less work.
+	twoPiOverFs := 2 * math.Pi / cfg.SampleRate
+	steps := make([]float64, len(cfg.Interferers))
+	for i, it := range cfg.Interferers {
+		steps[i] = twoPiOverFs * it.FreqHz
+	}
+
 	out := make([]float64, len(power))
 	phase := 0.0
 	gain := 1.0
-	twoPiOverFs := 2 * math.Pi / cfg.SampleRate
 	for n, p := range power {
 		dev := p - mean
 		mean += agcAlpha * dev
@@ -144,12 +152,13 @@ func Transmit(power []float64, cfg ChannelConfig) ([]float64, error) {
 			m = -1
 		}
 		amp := gain * (1 + cfg.ModIndex*m)
-		re := amp * math.Cos(phase)
-		im := amp * math.Sin(phase)
-		for _, it := range cfg.Interferers {
-			ang := twoPiOverFs * it.FreqHz * float64(n)
-			re += it.RelAmp * math.Cos(ang)
-			im += it.RelAmp * math.Sin(ang)
+		sin, cos := math.Sincos(phase)
+		re := amp * cos
+		im := amp * sin
+		for i, it := range cfg.Interferers {
+			sin, cos := math.Sincos(steps[i] * float64(n))
+			re += it.RelAmp * cos
+			im += it.RelAmp * sin
 		}
 		re += rng.NormFloat64() * sigma
 		im += rng.NormFloat64() * sigma

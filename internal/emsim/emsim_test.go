@@ -176,3 +176,18 @@ func TestSynthesizeAMSidebands(t *testing.T) {
 		t.Errorf("AM sidebands should be symmetric: %.3g vs %.3g", upper, lower)
 	}
 }
+
+// BenchmarkTransmit reports channel throughput in samples per second:
+// a loop-like power trace through the default channel with its two
+// interferers.
+func BenchmarkTransmit(b *testing.B) {
+	const fs = 12.5e6
+	power := loopLikePower(1<<18, 400e3, fs)
+	cfg := DefaultChannel(fs)
+	for i := 0; i < b.N; i++ {
+		if _, err := Transmit(power, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(len(power))/b.Elapsed().Seconds(), "samples/s")
+}

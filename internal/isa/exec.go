@@ -107,11 +107,13 @@ func Execute(p *Program, cfg ExecConfig, consume Consumer) (*ExecResult, error) 
 				regs[ins.Dst] = aluOp(ins.Op, a, bv)
 			}
 			if consume != nil {
-				dyn = DynInstr{
-					Op: ins.Op, Block: cur,
-					Dst: ins.Dst, A: ins.A, B: ins.B,
-					MemAddr: addr,
-				}
+				// Every field is stored into the one reused record:
+				// building a composite literal and copying it in makes
+				// the consumer's first loads wait on narrow stores.
+				dyn.Op, dyn.Block = ins.Op, cur
+				dyn.Dst, dyn.A, dyn.B = ins.Dst, ins.A, ins.B
+				dyn.MemAddr = addr
+				dyn.IsBranch, dyn.Taken, dyn.Injected = false, false, false
 				if !consume(&dyn) {
 					res.Stopped = true
 					res.Regs = regs
@@ -132,10 +134,10 @@ func Execute(p *Program, cfg ExecConfig, consume Consumer) (*ExecResult, error) 
 			}
 			taken := b.Term.Cond.Eval(regs[b.Term.A], regs[b.Term.B])
 			if consume != nil {
-				dyn = DynInstr{
-					Op: Sub, Block: cur, A: b.Term.A, B: b.Term.B,
-					MemAddr: -1, IsBranch: true, Taken: taken,
-				}
+				dyn.Op, dyn.Block = Sub, cur
+				dyn.Dst, dyn.A, dyn.B = 0, b.Term.A, b.Term.B
+				dyn.MemAddr = -1
+				dyn.IsBranch, dyn.Taken, dyn.Injected = true, taken, false
 				if !consume(&dyn) {
 					res.Stopped = true
 					res.Regs = regs
@@ -151,7 +153,12 @@ func Execute(p *Program, cfg ExecConfig, consume Consumer) (*ExecResult, error) 
 	}
 }
 
+// wrapAddr maps a word address into [0, size), or to 0 when there is no
+// memory. In-range addresses, the common case, skip the divide.
 func wrapAddr(addr, size int64) int64 {
+	if 0 <= addr && addr < size {
+		return addr
+	}
 	if size <= 0 {
 		return 0
 	}

@@ -157,6 +157,59 @@ func TestMemoryWrapsModuloSize(t *testing.T) {
 	}
 }
 
+func TestWrapAddr(t *testing.T) {
+	// modWrap is the definition wrapAddr must match: the non-negative
+	// remainder of addr by size, or 0 when there is no memory.
+	modWrap := func(addr, size int64) int64 {
+		if size <= 0 {
+			return 0
+		}
+		r := addr % size
+		if r < 0 {
+			r += size
+		}
+		return r
+	}
+	const big = int64(1) << 62
+	for _, c := range []struct {
+		name       string
+		addr, size int64
+		want       int64
+	}{
+		{"zero", 0, 8, 0},
+		{"in range", 5, 8, 5},
+		{"last word", 7, 8, 7},
+		{"exactly size", 8, 8, 0},
+		{"past size", 19, 8, 3},
+		{"far past size", big + 3, 8, 3},
+		{"minus one", -1, 8, 7},
+		{"minus size", -8, 8, 0},
+		{"far negative", -big - 5, 8, 3},
+		{"most negative", -1 << 63, 8, 0},
+		{"largest", 1<<63 - 1, 8, 7},
+		{"size one", 12345, 1, 0},
+		{"size zero", 5, 0, 0},
+		{"size zero negative addr", -5, 0, 0},
+		{"size negative", 3, -4, 0},
+		{"size negative, addr below", -7, -4, 0},
+	} {
+		if got := wrapAddr(c.addr, c.size); got != c.want {
+			t.Errorf("%s: wrapAddr(%d, %d) = %d, want %d", c.name, c.addr, c.size, got, c.want)
+		}
+		if got, def := wrapAddr(c.addr, c.size), modWrap(c.addr, c.size); got != def {
+			t.Errorf("%s: wrapAddr(%d, %d) = %d, modulo definition %d", c.name, c.addr, c.size, got, def)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		addr := rng.Int63n(1<<20) - 1<<19
+		size := rng.Int63n(1<<10) - 4
+		if got, def := wrapAddr(addr, size), modWrap(addr, size); got != def {
+			t.Fatalf("wrapAddr(%d, %d) = %d, modulo definition %d", addr, size, got, def)
+		}
+	}
+}
+
 func TestValidateRejectsBadPrograms(t *testing.T) {
 	// Jump target out of range.
 	p := &Program{

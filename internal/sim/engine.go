@@ -51,14 +51,25 @@ type Engine struct {
 	idx        int64
 	widthRing  []int64
 	retireRing []int64
+	// widthSlot and retireSlot are idx modulo the ring lengths, kept as
+	// wrapping cursors so the per-instruction path never divides.
+	widthSlot  int
+	retireSlot int
 
 	energy   []float64
 	injected []bool
+	// sample is the power sample holding cycles [sampleLo, sampleHi);
+	// the issue cycle is divided by SamplePeriod only when it leaves
+	// that range.
+	sample             int
+	sampleLo, sampleHi int64
 
 	// Region tracking. curNest >= 0 while inside a loop nest; -1 during a
-	// transition. lastNest remembers the loop nest we most recently left.
+	// transition. lastNest remembers the loop nest we most recently left;
+	// lastBlock is the block of the previous instruction.
 	curNest    int
 	lastNest   int
+	lastBlock  isa.BlockID
 	segStart   int64
 	transStart int64
 	segments   []Segment
@@ -80,6 +91,9 @@ func NewEngine(machine *cfg.Machine, config Config) (*Engine, error) {
 		widthRing: make([]int64, config.IssueWidth),
 		curNest:   -1,
 		lastNest:  cfg.Boundary,
+		lastBlock: isa.NoBlock,
+		energy:    make([]float64, 1),
+		sampleHi:  int64(config.SamplePeriod),
 	}
 	if config.Kind == OutOfOrder {
 		e.retireRing = make([]int64, config.ROBSize)
@@ -93,13 +107,13 @@ func (e *Engine) Feed(di *isa.DynInstr) bool {
 	c := &e.cfg
 	earliest := e.fetchAvail
 	if e.idx >= int64(c.IssueWidth) {
-		if t := e.widthRing[e.idx%int64(c.IssueWidth)] + 1; t > earliest {
+		if t := e.widthRing[e.widthSlot] + 1; t > earliest {
 			earliest = t
 		}
 	}
 	if c.Kind == OutOfOrder {
 		if e.idx >= int64(c.ROBSize) {
-			if t := e.retireRing[e.idx%int64(c.ROBSize)]; t > earliest {
+			if t := e.retireRing[e.retireSlot]; t > earliest {
 				earliest = t
 			}
 		}
@@ -157,21 +171,66 @@ func (e *Engine) Feed(di *isa.DynInstr) bool {
 	if retire > e.maxCycle {
 		e.maxCycle = retire
 	}
-	e.widthRing[e.idx%int64(c.IssueWidth)] = issue
+	e.widthRing[e.widthSlot] = issue
+	if e.widthSlot++; e.widthSlot == len(e.widthRing) {
+		e.widthSlot = 0
+	}
 	if c.Kind == OutOfOrder {
-		e.retireRing[e.idx%int64(c.ROBSize)] = retire
+		e.retireRing[e.retireSlot] = retire
+		if e.retireSlot++; e.retireSlot == len(e.retireRing) {
+			e.retireSlot = 0
+		}
 	} else {
 		e.lastIssue = issue
 	}
 	e.idx++
 	e.stats.DynInstrs++
 
-	e.addEnergy(issue, energy)
+	k := e.sampleOf(issue)
+	e.energy[k] += energy
 	if di.Injected {
-		e.markInjected(issue)
+		if len(e.injected) <= k {
+			e.injected = extend(e.injected, k+1)
+		}
+		e.injected[k] = true
 	}
-	e.trackRegion(di, retire)
+	if di.Block != e.lastBlock {
+		e.lastBlock = di.Block
+		e.trackRegion(di, retire)
+	}
 	return true
+}
+
+// sampleOf returns the index of the power sample holding cycle, growing
+// the energy trace to include it. Issue cycles mostly stay in the current
+// sample or step to the next one; only a longer jump divides.
+func (e *Engine) sampleOf(cycle int64) int {
+	if cycle < e.sampleLo || cycle >= e.sampleHi {
+		period := int64(e.cfg.SamplePeriod)
+		if cycle >= e.sampleHi && cycle < e.sampleHi+period {
+			e.sample++
+		} else {
+			e.sample = int(cycle / period)
+		}
+		e.sampleLo = int64(e.sample) * period
+		e.sampleHi = e.sampleLo + period
+		if len(e.energy) <= e.sample {
+			e.energy = extend(e.energy, e.sample+1)
+		}
+	}
+	return e.sample
+}
+
+// extend lengthens s to n zero-valued elements, at least doubling its
+// capacity when it must reallocate. The engine's traces only grow, so
+// the spare capacity past len(s) is still zero.
+func extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		t := make([]T, len(s), max(n, 2*cap(s)))
+		copy(t, s)
+		s = t
+	}
+	return s[:n]
 }
 
 func (e *Engine) sourceReady(di *isa.DynInstr) int64 {
@@ -216,28 +275,10 @@ func (e *Engine) memEnergy(level memLevel) float64 {
 	}
 }
 
-func (e *Engine) bucket(cycle int64) int {
-	return int(cycle / int64(e.cfg.SamplePeriod))
-}
-
-func (e *Engine) addEnergy(cycle int64, v float64) {
-	b := e.bucket(cycle)
-	for len(e.energy) <= b {
-		e.energy = append(e.energy, 0)
-	}
-	e.energy[b] += v
-}
-
-func (e *Engine) markInjected(cycle int64) {
-	b := e.bucket(cycle)
-	for len(e.injected) <= b {
-		e.injected = append(e.injected, false)
-	}
-	e.injected[b] = true
-}
-
 // trackRegion advances the region trace given the block of the current
-// instruction and the current (retire) cycle.
+// instruction and the current (retire) cycle. Feed calls it only when the
+// block changes: a repeated block maps to the same nest, which leaves the
+// trace as it is.
 func (e *Engine) trackRegion(di *isa.DynInstr, now int64) {
 	nest := -1
 	if int(di.Block) < len(e.machine.BlockNest) {
@@ -319,7 +360,7 @@ func (e *Engine) Finalize() *RunResult {
 			e.segments = append(e.segments, Segment{Region: cfg.NoRegion, StartCycle: e.transStart, EndCycle: end})
 		}
 	}
-	nSamples := e.bucket(e.maxCycle) + 1
+	nSamples := int(e.maxCycle/int64(e.cfg.SamplePeriod)) + 1
 	power := make([]float64, nSamples)
 	period := float64(e.cfg.SamplePeriod)
 	for k := 0; k < nSamples; k++ {

@@ -5,7 +5,9 @@ import (
 	"testing/quick"
 
 	"eddie/internal/cfg"
+	"eddie/internal/inject"
 	"eddie/internal/isa"
+	"eddie/internal/mibench"
 )
 
 func TestCacheHitMissSequence(t *testing.T) {
@@ -355,17 +357,40 @@ func TestROBLimitsMemoryParallelism(t *testing.T) {
 	}
 }
 
+// BenchmarkEngineThroughput reports simulated instructions per second
+// through isa.Execute and the timing engine: the two-nest test loop on
+// the in-order core, then a MiBench workload under an in-loop injector
+// on both cores.
 func BenchmarkEngineThroughput(b *testing.B) {
-	p := buildLoopProgram()
-	machine, err := cfg.BuildMachine(p)
+	loop := buildLoopProgram()
+	loopMachine, err := cfg.BuildMachine(loop)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := DefaultIoT()
-	b.ResetTimer()
+	b.Run("loop/iot", func(b *testing.B) {
+		benchRuns(b, loop, loopMachine, DefaultIoT(), isa.ExecConfig{}, nil)
+	})
+	w := mibench.Bitcount()
+	machine, err := cfg.BuildMachine(w.Program)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inj := &inject.InLoop{Header: machine.Nests[0].Header, Instrs: 8, MemOps: 4, Contamination: 1, Seed: 1}
+	execCfg := isa.ExecConfig{MaxInstrs: 20_000_000, InitMem: w.GenInput(0)}
+	for _, core := range []struct {
+		name string
+		cfg  Config
+	}{{"iot", DefaultIoT()}, {"ooo", DefaultOOO()}} {
+		b.Run(w.Name+"/"+core.name+"/inloop", func(b *testing.B) {
+			benchRuns(b, w.Program, machine, core.cfg, execCfg, inj.Wrap)
+		})
+	}
+}
+
+func benchRuns(b *testing.B, p *isa.Program, machine *cfg.Machine, c Config, execCfg isa.ExecConfig, wrap func(isa.Consumer) isa.Consumer) {
 	var instrs int64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(p, machine, c, isa.ExecConfig{}, nil)
+		res, err := Run(p, machine, c, execCfg, wrap)
 		if err != nil {
 			b.Fatal(err)
 		}
