@@ -95,7 +95,7 @@ bench-decision:
 # Subspace-denoising kernel benchmarks (randomized truncated SVD,
 # Gram-Schmidt orthonormalization, steady-state denoiser push).
 # Rewrites BENCH_denoise.json; fails (keeping the checked-in baseline)
-# when the per-window DenoisePush cost regresses >20% against it.
+# when the median of five DenoisePush runs regresses >20% against it.
 bench-denoise:
 	$(EDDIE_BENCH) -denoise-bench BENCH_denoise.json
 
@@ -121,17 +121,22 @@ bench-fleet-smoke:
 
 # Fuzz smoke for `make test`: ten seconds of FuzzKSPresorted, which
 # requires the merge and search K-S kernels to return the same D bit for
-# bit in both argument orders, and to match the brute-force ECDF.
+# bit in both argument orders, and to match the brute-force ECDF; then
+# five seconds of FuzzBlendSorted, which requires the reference blend to
+# return the same drift and reference values as its quantile-and-sort
+# reference.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzKSPresorted$$' -fuzztime 10s ./internal/stats
+	go test -run '^$$' -fuzz '^FuzzBlendSorted$$' -fuzztime 5s ./internal/stats
 
 # Cheap decision-bench gate for `make test`: the driver must build, and
-# the go-test decision benchmarks must run (one iteration each) without
-# failing — catches bit-rot in the benchmark harness without paying for
-# a full timing run.
+# the go-test decision benchmarks — with the adapt layer's reference
+# blend and the stream_drift-shaped RSVD factorization — must run (one
+# iteration each) without failing; catches bit-rot in the benchmark
+# harness without paying for a full timing run.
 bench-decision-smoke:
 	go build -o /dev/null ./cmd/eddie-bench
-	go test -short -run '^$$' -bench 'BenchmarkEvalGroups|BenchmarkObserveMultiMode|BenchmarkObserveFleetModel|BenchmarkKSStatistic|BenchmarkKSRejectStatPresorted' -benchtime 1x ./internal/core ./internal/stats
+	go test -short -run '^$$' -bench 'BenchmarkEvalGroups|BenchmarkObserveMultiMode|BenchmarkObserveFleetModel|BenchmarkKSStatistic|BenchmarkKSRejectStatPresorted|BenchmarkBlendSorted|BenchmarkRSVDFactor' -benchtime 1x ./internal/core ./internal/stats ./internal/dsp
 
 # Cheap capture-path benchmark run for `make test`: the simulator
 # (instructions/s on the test loop and on a MiBench workload under an

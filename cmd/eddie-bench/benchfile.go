@@ -112,6 +112,10 @@ func timeBench(bm kernelBench) benchResult {
 	return res
 }
 
+// gateRepeats is how many times a regression-gated benchmark runs; its
+// row holds the median run.
+const gateRepeats = 5
+
 // timeMedian times one benchmark repeats times and returns the median
 // run by ns/op, so a gate on it does not turn on one slow host phase.
 func timeMedian(bm kernelBench, repeats int) benchResult {

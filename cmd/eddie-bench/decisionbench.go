@@ -9,13 +9,9 @@ import (
 	"eddie/internal/synthbench"
 )
 
-// observeRepeats is how many times the gated Observe benchmark runs; its
-// row holds the median run.
-const observeRepeats = 5
-
 // runDecisionBench times the monitor decision path and the training
 // fan-out on the synthetic multi-region benchmark model and writes
-// BENCH_decision.json, gated on the median of observeRepeats runs of the
+// BENCH_decision.json, gated on the median of gateRepeats runs of the
 // steady-state Observe benchmark.
 // TrainWorkersN is the training scaling (flat when GOMAXPROCS=1; the
 // file header records gomaxprocs and num_cpu).
@@ -98,7 +94,7 @@ func runDecisionBench(path string) error {
 		benches = append(benches, kernelBench{fmt.Sprintf("TrainWorkers%d", p), nests, train(p)})
 	}
 
-	observeRow := timeMedian(gated, observeRepeats)
+	observeRow := timeMedian(gated, gateRepeats)
 	out := runBenches(benches)
 	out.Results = append([]benchResult{observeRow}, out.Results...)
 	if w1, w4 := out.result("TrainWorkers1"), out.result("TrainWorkers4"); w4.NsPerOp > 0 {

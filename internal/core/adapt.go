@@ -171,8 +171,12 @@ func (m *Monitor) regionModel(id cfg.RegionID) *RegionModel {
 // passes, folds the accepted monitored group into the current region's
 // reference sketches. rm is the region's shadow model (the one the clean
 // verdict was computed against) and n the group size just tested, so
-// fillGroups(n) is a slot-cache hit for the very group just tested — the
-// update costs a few merge passes and zero allocations.
+// fillGroups(n) is a slot-cache hit for the very group just tested. The
+// update costs one K-S statistic and one BlendSorted sweep per rank plus
+// one sweep each over the pooled count and energy references (up to a
+// few thousand values), and zero allocations: each sweep is linear, and
+// the blended reference is re-sorted only in the rare case a sweep left
+// a neighbouring pair out of order.
 func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 	a := m.adapt
 	a.cleanStreak++

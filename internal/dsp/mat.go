@@ -95,18 +95,46 @@ func MulInto(dst, a, b *Mat) {
 
 // MulATBInto computes dst = aᵀ·b. dst is reshaped to a.Cols×b.Cols; it
 // must not alias a or b. Each element is a dot product of two columns —
-// both contiguous in column-major storage.
+// both contiguous in column-major storage — computed by dotsInto, four
+// at a time and each bit-identical to dot.
 func MulATBInto(dst, a, b *Mat) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("dsp: MulATBInto shape mismatch: (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.Reshape(a.Cols, b.Cols)
 	for j := 0; j < b.Cols; j++ {
-		bj := b.Col(j)
-		dj := dst.Col(j)
-		for i := 0; i < a.Cols; i++ {
-			dj[i] = dot(a.Col(i), bj)
+		dotsInto(dst.Col(j), a, b.Col(j))
+	}
+}
+
+// dotsInto sets dst[i] = dot(a.Col(i), x) for every column of a, four
+// columns per sweep over x: a single dot is bound by the latency of its
+// one add chain, and four independent chains hide it. A final group of
+// fewer than four columns repeats its last column and drops the spare
+// sums. Each accumulator adds its products in index order exactly as
+// dot does, so the results match dot bit for bit.
+func dotsInto(dst []float64, a *Mat, x []float64) {
+	for i := 0; i < a.Cols; i += 4 {
+		c0 := a.Col(i)
+		c1, c2, c3 := c0, c0, c0
+		if i+1 < a.Cols {
+			c1 = a.Col(i + 1)
 		}
+		if i+2 < a.Cols {
+			c2 = a.Col(i + 2)
+		}
+		if i+3 < a.Cols {
+			c3 = a.Col(i + 3)
+		}
+		c0, c1, c2, c3 = c0[:len(x)], c1[:len(x)], c2[:len(x)], c3[:len(x)]
+		var s0, s1, s2, s3 float64
+		for k, v := range x {
+			s0 += c0[k] * v
+			s1 += c1[k] * v
+			s2 += c2[k] * v
+			s3 += c3[k] * v
+		}
+		copy(dst[i:], []float64{s0, s1, s2, s3}[:min(4, a.Cols-i)])
 	}
 }
 
@@ -136,13 +164,12 @@ func MulTVecInto(dst []float64, a *Mat, x []float64) {
 	if len(x) != a.Rows || len(dst) != a.Cols {
 		panic(fmt.Sprintf("dsp: MulTVecInto shape mismatch: (%dx%d)ᵀ · %d -> %d", a.Rows, a.Cols, len(x), len(dst)))
 	}
-	for j := range dst {
-		dst[j] = dot(a.Col(j), x)
-	}
+	dotsInto(dst, a, x)
 }
 
 // dot returns the inner product of two equal-length vectors.
 func dot(a, b []float64) float64 {
+	b = b[:len(a)]
 	var s float64
 	for i, v := range a {
 		s += v * b[i]

@@ -171,31 +171,6 @@ func mulABTInto(dst, a, b *Mat) {
 	}
 }
 
-// SingularValues returns all min(m,n) singular values of a, descending.
-// It forms the Gram matrix on the smaller side and eigen-decomposes it
-// with the same Jacobi kernel RSVD uses for its small problem — O(min³)
-// plus the Gram product, exact up to roundoff. The property tests use it
-// to compute the optimal (Eckart-Young) truncation error the randomized
-// factorization is judged against.
-func SingularValues(a *Mat) []float64 {
-	var g, v Mat
-	if a.Rows <= a.Cols {
-		mulABTInto(&g, a, a)
-	} else {
-		MulATBInto(&g, a, a)
-	}
-	var jac jacobiScratch
-	eig := symEigJacobi(&g, &v, nil, &jac)
-	for i, lam := range eig {
-		if lam > 0 {
-			eig[i] = math.Sqrt(lam)
-		} else {
-			eig[i] = 0
-		}
-	}
-	return eig
-}
-
 // jacobiScratch holds the permutation scratch of the eigensolver.
 type jacobiScratch struct {
 	ord []int

@@ -105,7 +105,7 @@ func reconError(a, u *Mat) float64 {
 // optimalTruncError returns the Eckart-Young optimum √(Σ_{i≥k} σ_i²)
 // from the exact singular values.
 func optimalTruncError(a *Mat, k int) float64 {
-	sv := SingularValues(a)
+	sv := singularValues(a)
 	var s float64
 	for i := k; i < len(sv); i++ {
 		s += sv[i] * sv[i]
@@ -116,7 +116,7 @@ func optimalTruncError(a *Mat, k int) float64 {
 // TestRSVDReconstructionBound: on random low-rank-plus-noise matrices
 // the randomized factorization's reconstruction error stays within a
 // constant factor of the optimal rank-k truncation error — and never
-// below it (Eckart-Young), which cross-checks SingularValues.
+// below it (Eckart-Young), which cross-checks singularValues.
 func TestRSVDReconstructionBound(t *testing.T) {
 	cases := []struct {
 		m, n, rank, k int
@@ -145,7 +145,7 @@ func TestRSVDReconstructionBound(t *testing.T) {
 		opt := optimalTruncError(a, min(tc.k, min(tc.m, tc.n)))
 		floor := 1e-9 * math.Sqrt(a.FrobeniusSq())
 		if got+floor < opt {
-			t.Errorf("case %+v: reconstruction error %g below the Eckart-Young optimum %g — SingularValues or Factor is wrong", tc, got, opt)
+			t.Errorf("case %+v: reconstruction error %g below the Eckart-Young optimum %g — singularValues or Factor is wrong", tc, got, opt)
 		}
 		// With oversampling and two power iterations the randomized error
 		// concentrates tightly around the optimum; 1.5x is far beyond any
@@ -155,7 +155,7 @@ func TestRSVDReconstructionBound(t *testing.T) {
 		}
 		// The reported singular values must approximate the true leading
 		// ones from above-to-within-tolerance.
-		exact := SingularValues(a)
+		exact := singularValues(a)
 		for i, s := range sv {
 			if i >= len(exact) {
 				break
@@ -238,13 +238,13 @@ func TestRSVDDeterminism(t *testing.T) {
 	_ = u3 // different seed may still converge to the same subspace; no assertion
 }
 
-// TestSingularValuesKnown pins SingularValues on a diagonal matrix.
+// TestSingularValuesKnown pins singularValues on a diagonal matrix.
 func TestSingularValuesKnown(t *testing.T) {
 	a := NewMat(5, 3)
 	a.Set(0, 0, 3)
 	a.Set(1, 1, -7) // singular value is |λ|
 	a.Set(2, 2, 0.5)
-	sv := SingularValues(a)
+	sv := singularValues(a)
 	want := []float64{7, 3, 0.5}
 	if len(sv) != 3 {
 		t.Fatalf("got %d singular values, want 3", len(sv))
@@ -254,6 +254,31 @@ func TestSingularValuesKnown(t *testing.T) {
 			t.Errorf("σ[%d] = %g, want %g", i, sv[i], want[i])
 		}
 	}
+}
+
+// singularValues returns all min(m,n) singular values of a, descending.
+// It forms the Gram matrix on the smaller side and eigen-decomposes it
+// with the same Jacobi kernel RSVD uses for its small problem — O(min³)
+// plus the Gram product, exact up to roundoff. The property tests use it
+// to compute the optimal (Eckart-Young) truncation error the randomized
+// factorization is judged against.
+func singularValues(a *Mat) []float64 {
+	var g, v Mat
+	if a.Rows <= a.Cols {
+		mulABTInto(&g, a, a)
+	} else {
+		MulATBInto(&g, a, a)
+	}
+	var jac jacobiScratch
+	eig := symEigJacobi(&g, &v, nil, &jac)
+	for i, lam := range eig {
+		if lam > 0 {
+			eig[i] = math.Sqrt(lam)
+		} else {
+			eig[i] = 0
+		}
+	}
+	return eig
 }
 
 func sameBitsSlice(a, b []float64) bool {

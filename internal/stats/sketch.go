@@ -2,28 +2,6 @@ package stats
 
 import "math"
 
-// QuantileSorted returns the q-quantile (q in [0,1]) of a sample already
-// sorted ascending, with linear interpolation between adjacent order
-// statistics. An empty sample yields 0.
-func QuantileSorted(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return xs[0]
-	}
-	if q >= 1 {
-		return xs[len(xs)-1]
-	}
-	pos := q * float64(len(xs)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(xs) {
-		return xs[len(xs)-1]
-	}
-	return xs[lo] + frac*(xs[lo+1]-xs[lo])
-}
-
 // BlendSorted nudges a sorted reference sample toward the empirical
 // quantiles of a sorted observed sample, in place and without
 // allocating. Each reference value ref[i] — the (i+0.5)/len(ref)
@@ -39,12 +17,21 @@ func QuantileSorted(xs []float64, q float64) float64 {
 // it in place; callers that need such references to track slow drift pass
 // a floor proportional to the reference's magnitude.
 //
-// ref is re-sorted before returning (clamped steps can locally reorder
-// an almost-converged sketch), so it remains a valid presorted K-S
-// reference. The return value is the mean absolute shift normalized by
-// the effective span — the per-update drift distance, accumulated by
-// callers into drift telemetry. Non-finite observation quantiles leave
-// the corresponding reference value untouched.
+// ref stays sorted. In exact arithmetic no step can reorder it: with
+// rate in (0, 1] the blended value, clamped or not, is nondecreasing in
+// both the old value and its target. Rounding between nearly equal
+// values and a skipped non-finite target can still put a neighbour out
+// of order, so the sweep checks every adjacent pair and, only when one
+// came out of order, repairs ref with one insertion pass — it remains a
+// valid presorted K-S reference without a full sort per update. The
+// return value is the mean absolute shift normalized by the effective
+// span — the per-update drift distance, accumulated by callers into
+// drift telemetry. Non-finite observation quantiles leave the
+// corresponding reference value untouched.
+//
+// Each target is the (i+0.5)/len(ref) quantile of obs, linearly
+// interpolated between adjacent order statistics. ref must be sorted
+// ascending and free of NaN.
 func BlendSorted(ref, obs []float64, rate, maxStepFrac, minSpan float64) float64 {
 	if len(ref) == 0 || len(obs) == 0 || rate <= 0 {
 		return 0
@@ -62,22 +49,36 @@ func BlendSorted(ref, obs []float64, rate, maxStepFrac, minSpan float64) float64
 		}
 	}
 	maxStep := maxStepFrac * span
+	m := float64(len(ref))
+	last := len(obs) - 1
+	scale := float64(last)
 	var total float64
+	prev := math.Inf(-1)
+	ordered := true
 	for i := range ref {
-		q := (float64(i) + 0.5) / float64(len(ref))
-		target := QuantileSorted(obs, q)
-		if math.IsNaN(target) || math.IsInf(target, 0) {
-			continue
+		pos := (float64(i) + 0.5) / m * scale
+		lo := int(pos)
+		target := obs[last]
+		if lo < last {
+			target = obs[lo] + (pos-float64(lo))*(obs[lo+1]-obs[lo])
 		}
-		step := rate * (target - ref[i])
-		if step > maxStep {
-			step = maxStep
-		} else if step < -maxStep {
-			step = -maxStep
+		if target-target == 0 { // false for NaN and ±Inf
+			step := rate * (target - ref[i])
+			if step > maxStep {
+				step = maxStep
+			} else if step < -maxStep {
+				step = -maxStep
+			}
+			ref[i] += step
+			total += math.Abs(step)
 		}
-		ref[i] += step
-		total += math.Abs(step)
+		if ref[i] < prev {
+			ordered = false
+		}
+		prev = ref[i]
 	}
-	Sort(ref)
+	if !ordered {
+		insertionSort(ref)
+	}
 	return total / (float64(len(ref)) * span)
 }

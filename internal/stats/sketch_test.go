@@ -1,13 +1,74 @@
 package stats
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// TestQuantileSorted pins the interpolation convention against hand
-// computations and the edge clamps.
+// quantileSorted returns the q-quantile (q in [0,1]) of a sample already
+// sorted ascending, with linear interpolation between adjacent order
+// statistics. An empty sample yields 0. It is the interpolation
+// BlendSorted inlines, kept as the reference blendSortedRef builds on.
+func quantileSorted(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return xs[0]
+	}
+	if q >= 1 {
+		return xs[len(xs)-1]
+	}
+	pos := q * float64(len(xs)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[lo] + frac*(xs[lo+1]-xs[lo])
+}
+
+// blendSortedRef is the reference BlendSorted is held to: one
+// quantileSorted call per reference value, then a full Sort of ref.
+func blendSortedRef(ref, obs []float64, rate, maxStepFrac, minSpan float64) float64 {
+	if len(ref) == 0 || len(obs) == 0 || rate <= 0 {
+		return 0
+	}
+	span := ref[len(ref)-1] - ref[0]
+	if span < minSpan {
+		span = minSpan
+	}
+	if span <= 0 {
+		span = math.Abs(ref[0])
+		if span == 0 {
+			span = 1
+		}
+	}
+	maxStep := maxStepFrac * span
+	var total float64
+	for i := range ref {
+		q := (float64(i) + 0.5) / float64(len(ref))
+		target := quantileSorted(obs, q)
+		if math.IsNaN(target) || math.IsInf(target, 0) {
+			continue
+		}
+		step := rate * (target - ref[i])
+		if step > maxStep {
+			step = maxStep
+		} else if step < -maxStep {
+			step = -maxStep
+		}
+		ref[i] += step
+		total += math.Abs(step)
+	}
+	Sort(ref)
+	return total / (float64(len(ref)) * span)
+}
+
+// TestQuantileSorted pins the reference's interpolation convention
+// against hand computations and the edge clamps.
 func TestQuantileSorted(t *testing.T) {
 	xs := []float64{1, 2, 4, 8}
 	cases := []struct{ q, want float64 }{
@@ -18,15 +79,15 @@ func TestQuantileSorted(t *testing.T) {
 		{5.0 / 6.0, 6}, // pos 2.5 between 4 and 8
 	}
 	for _, c := range cases {
-		if got := QuantileSorted(xs, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("QuantileSorted(q=%g) = %g, want %g", c.q, got, c.want)
+		if got := quantileSorted(xs, c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("quantileSorted(q=%g) = %g, want %g", c.q, got, c.want)
 		}
 	}
-	if got := QuantileSorted(nil, 0.5); got != 0 {
-		t.Errorf("QuantileSorted(empty) = %g, want 0", got)
+	if got := quantileSorted(nil, 0.5); got != 0 {
+		t.Errorf("quantileSorted(empty) = %g, want 0", got)
 	}
-	if got := QuantileSorted([]float64{7}, 0.9); got != 7 {
-		t.Errorf("QuantileSorted(single) = %g, want 7", got)
+	if got := quantileSorted([]float64{7}, 0.9); got != 7 {
+		t.Errorf("quantileSorted(single) = %g, want 7", got)
 	}
 }
 
@@ -63,7 +124,7 @@ func TestBlendSortedConverges(t *testing.T) {
 	// quantile (sampling noise in the 256-point target dominates).
 	for i := range ref {
 		q := (float64(i) + 0.5) / float64(n)
-		want := QuantileSorted(target, q)
+		want := quantileSorted(target, q)
 		if math.Abs(ref[i]-want) > 0.5 {
 			t.Errorf("sketch[%d] = %g, want ~%g (q=%.3f)", i, ref[i], want, q)
 		}
@@ -139,5 +200,114 @@ func TestBlendSortedSpanFloor(t *testing.T) {
 	moved := ref[1] - 1000
 	if moved < 0.4 || moved > 0.5+1e-9 {
 		t.Errorf("floored blend moved midpoint by %g, want ~0.5", moved)
+	}
+}
+
+// FuzzBlendSorted holds BlendSorted to blendSortedRef: on every input
+// the drift and each reference value must be equal. Observation bytes
+// 253, 254 and 255 decode to NaN, +Inf and -Inf. Reference bytes are
+// sorted before the blend; observation bytes are sorted with Sort, as
+// the monitor sorts its groups.
+func FuzzBlendSorted(f *testing.F) {
+	// The measured shapes: a pooled count/energy reference against a
+	// 96-window group, and a per-rank mode reference against a group of
+	// 12, at the adapt layer's step bound and span floor.
+	f.Add(rampBytes(2300, 10), rampBytes(96, 30), 0.1, 0.05, 0.0)
+	f.Add(rampBytes(380, 40), rampBytes(12, 41), 0.1, 0.05, 0.6)
+	// m ≤ 48 and m > 48 (Sort's two paths), n = 1.
+	f.Add(rampBytes(48, 0), []byte{200}, 0.5, 0.05, 0.0)
+	f.Add(rampBytes(49, 0), []byte{3}, 0.5, 0.05, 0.0)
+	f.Add([]byte{5}, []byte{9}, 1.0, 1.0, 0.0)
+	// Steps past the target (rate > 1) next to steps clamped toward
+	// it: values near the target overshoot past their clamped
+	// neighbours, so the blend leaves ref out of order and the repair
+	// pass must restore it (m > 48 and m ≤ 48).
+	f.Add(rampBytes(60, 0), []byte{9, 9, 9}, 1.9, 0.1, 0.0)
+	f.Add(rampBytes(30, 0), []byte{5}, 1.9, 0.2, 0.0)
+	// Non-finite observations: NaN, +Inf and -Inf quantiles are skipped,
+	// which also reorders ref when a moved neighbour passes one.
+	f.Add(rampBytes(40, 0), []byte{1, 2, 253, 253, 80, 90}, 0.9, 1.0, 0.0)
+	f.Add(rampBytes(100, 0), []byte{10, 20, 254}, 0.9, 1.0, 0.0)
+	f.Add(rampBytes(100, 0), []byte{255, 20, 30}, 0.9, 1.0, 0.0)
+	f.Add(rampBytes(70, 0), []byte{253, 254, 255}, 0.5, 0.05, 0.0)
+	// Degenerate references: constant, and zero.
+	f.Add(bytes.Repeat([]byte{7}, 30), []byte{9, 9}, 0.5, 0.05, 0.0)
+	f.Add(bytes.Repeat([]byte{0}, 60), []byte{0, 1}, 0.5, 0.05, 0.0)
+	f.Fuzz(func(t *testing.T, refB, obsB []byte, rate, maxStepFrac, minSpan float64) {
+		if len(refB) == 0 || len(obsB) == 0 || len(refB)+len(obsB) > 4096 {
+			t.Skip()
+		}
+		if !(rate > 0) || math.IsInf(rate, 0) {
+			rate = 0.1
+		}
+		if !(maxStepFrac >= 0) || math.IsInf(maxStepFrac, 0) {
+			maxStepFrac = 0.05
+		}
+		if !(minSpan >= 0) || math.IsInf(minSpan, 0) {
+			minSpan = 0
+		}
+		ref := make([]float64, len(refB))
+		for i, v := range refB {
+			ref[i] = float64(v) / 3
+		}
+		Sort(ref)
+		obs := make([]float64, len(obsB))
+		for i, v := range obsB {
+			switch v {
+			case 253:
+				obs[i] = math.NaN()
+			case 254:
+				obs[i] = math.Inf(1)
+			case 255:
+				obs[i] = math.Inf(-1)
+			default:
+				obs[i] = float64(v) / 3
+			}
+		}
+		Sort(obs)
+		want := append([]float64(nil), ref...)
+		wantDrift := blendSortedRef(want, obs, rate, maxStepFrac, minSpan)
+		gotDrift := BlendSorted(ref, obs, rate, maxStepFrac, minSpan)
+		if gotDrift != wantDrift {
+			t.Fatalf("m=%d n=%d: drift %v, reference %v", len(ref), len(obs), gotDrift, wantDrift)
+		}
+		for i := range ref {
+			if ref[i] != want[i] {
+				t.Fatalf("m=%d n=%d: ref[%d] = %v, reference %v", len(ref), len(obs), i, ref[i], want[i])
+			}
+		}
+	})
+}
+
+// BenchmarkBlendSorted times one blend at the adapt layer's two
+// measured shapes: a pooled count/energy reference of ~2300 values
+// against a 96-window group, and a per-rank mode reference of ~380
+// values against a group of 12.
+func BenchmarkBlendSorted(b *testing.B) {
+	for _, sh := range []struct {
+		name string
+		m, n int
+	}{
+		{"m2300n96", 2300, 96},
+		{"m380n12", 380, 12},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			ref := make([]float64, sh.m)
+			obs := make([]float64, sh.n)
+			for i := range ref {
+				ref[i] = 100 + 10*rng.NormFloat64()
+			}
+			for i := range obs {
+				obs[i] = 101 + 10*rng.NormFloat64()
+			}
+			Sort(ref)
+			Sort(obs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				BlendSorted(ref, obs, 0.1, 0.05, 0)
+			}
+		})
 	}
 }

@@ -18,6 +18,13 @@ func Sort(xs []float64) {
 		sort.Float64s(xs)
 		return
 	}
+	insertionSort(xs)
+}
+
+// insertionSort sorts xs ascending in place in O(len(xs) + inversions):
+// the short-slice path of Sort, and the repair pass that puts an almost
+// sorted slice back in order.
+func insertionSort(xs []float64) {
 	for i := 1; i < len(xs); i++ {
 		x := xs[i]
 		j := i
