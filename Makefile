@@ -54,14 +54,17 @@ test: build lint
 # runs explicitly so basis refactoring is raced too, and the coordinator
 # failover stress (kill a backend mid-stream, assert the ring re-homes,
 # the device resumes on the survivor and no pre-kill alarm is lost from
-# the dead backend's journal) races the probe/redirect/drain paths.
+# the dead backend's journal) races the probe/redirect/drain paths. The
+# coordinator's invalid-name refusal and the healthz/load-report
+# agreement test rerun too: they read state that the probe loop and the
+# shard goroutines write.
 race:
 	go vet ./...
 	go test -race -short ./...
 	go test -race -short -count=1 -run 'TestFleetStressConcurrentSessions|TestFleetStressShardedChurn' ./internal/fleet
 	go test -race -short -count=1 -run 'TestDifferentialOfflineVsStream|TestDifferentialProvenance' ./internal/stream
-	go test -race -short -count=1 -run 'TestFleetDrainJournalAndSSE|TestFleetJournalRoundTrip' ./internal/fleet
-	go test -race -short -count=1 -run 'TestCoordFailover|TestCoordDifferentialVsDirect' ./internal/coord
+	go test -race -short -count=1 -run 'TestFleetDrainJournalAndSSE|TestFleetJournalRoundTrip|TestFleetHealthzFlipsDegraded' ./internal/fleet
+	go test -race -short -count=1 -run 'TestCoordFailover|TestCoordDifferentialVsDirect|TestCoordRefusesInvalidNames' ./internal/coord
 
 # Fleet smoke run: boot a real fleet server over TCP, stream devices
 # through it concurrently, drain it gracefully mid-stream.

@@ -23,6 +23,11 @@ const (
 	writeTimeout = 10 * time.Second
 )
 
+// downAfter is how many consecutive bad probes (unreachable, draining,
+// or a sustained-overload SLO verdict) drain a backend and re-home its
+// ring span.
+const downAfter = 3
+
 // Config configures a Coordinator.
 type Config struct {
 	// Backends lists the fleet backends' device-facing addresses
@@ -31,10 +36,6 @@ type Config struct {
 	// ProbeInterval is the health-probe period per backend; one probe
 	// RPC (dial + query + report) may take twice as long. Zero means 1s.
 	ProbeInterval time.Duration
-	// DownAfter is how many consecutive bad probes (unreachable,
-	// draining, or a sustained-overload SLO verdict) drain a backend
-	// and re-home its ring span. Zero means 3.
-	DownAfter int
 	// PerBackendCap, when positive, lowers the per-backend admission
 	// bound below what each backend reports as its own MaxSessions —
 	// the knob for running a fleet at a deliberate utilization ceiling
@@ -57,9 +58,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 3
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
@@ -137,7 +135,7 @@ type Coordinator struct {
 
 	cHellos    *metrics.Counter // hellos answered (any outcome)
 	cRedirects *metrics.Counter // redirects issued
-	cRefused   *metrics.Counter // hellos refused (no backend / old client)
+	cRefused   *metrics.Counter // hellos refused (bad hello / old client / no backend)
 	cRehomes   *metrics.Counter // ring spans re-homed off a dead backend
 	gUpCount   *metrics.Gauge   // backends currently in the ring
 	gBalance   *metrics.FloatGauge
@@ -276,7 +274,7 @@ func (c *Coordinator) probe(b *backend) {
 	case rep.Status == obs.HealthOverloaded:
 		// A single overloaded verdict is already a sustained burn (the
 		// SLO tracker's short window must be far over budget), but the
-		// DownAfter streak still applies so one probe racing a burst
+		// downAfter streak still applies so one probe racing a burst
 		// spike cannot evict a backend.
 		bad = "sustained SLO burn (overloaded)"
 	}
@@ -308,7 +306,7 @@ func (c *Coordinator) probe(b *backend) {
 		return
 	}
 	b.failures++
-	evict := b.up && b.failures >= c.cfg.DownAfter
+	evict := b.up && b.failures >= downAfter
 	if evict {
 		b.up = false
 	}
@@ -491,8 +489,10 @@ func (c *Coordinator) answerHello(conn net.Conn, payload []byte) {
 		refuse(fmt.Sprintf("coord: bad hello: %v", err))
 		return
 	}
-	if hello.Device == "" {
-		refuse("coord: hello names no device")
+	// The backend's own rule: a name it would refuse must not be
+	// hashed, redirected and counted toward its owner's load estimate.
+	if err := hello.Validate(); err != nil {
+		refuse("coord: " + err.Error())
 		return
 	}
 	if hello.Proto < fleet.ProtoRedirect {
@@ -610,12 +610,10 @@ func (c *Coordinator) finishJournal(detail string) {
 }
 
 // --- obs integration: the coordinator is the fleet's front door, so it
-// implements the same listing and health interfaces the single-node
-// server does (obs.SessionPager, obs.FleetHealth),
-// aggregating across backends over the FleetQuery control RPC.
+// implements the same obs.FleetNode interface the single-node server
+// does, aggregating across backends over the FleetQuery control RPC.
 
-// Draining reports whether shutdown has been requested
-// (obs.FleetHealth).
+// Draining reports whether shutdown has been requested.
 func (c *Coordinator) Draining() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -623,7 +621,7 @@ func (c *Coordinator) Draining() bool {
 }
 
 // ActiveSessions sums the live session counts and admission caps of the
-// backends currently in the ring (obs.FleetHealth).
+// backends currently in the ring (obs.FleetNode).
 func (c *Coordinator) ActiveSessions() (active, max int) {
 	for _, b := range c.backends {
 		b.mu.Lock()
@@ -636,11 +634,10 @@ func (c *Coordinator) ActiveSessions() (active, max int) {
 	return active, max
 }
 
-// HealthStatus is the coordinator's own SLO verdict
-// (obs.HealthStatuser): draining beats everything, a fleet with no live
-// backend is overloaded (healthz must fail closed so a load balancer
-// stops sending devices here), a partial fleet is degraded, a full
-// fleet is ready.
+// HealthStatus is the coordinator's own verdict (obs.FleetNode):
+// draining beats everything, a fleet with no live backend is overloaded
+// (healthz must fail closed so a load balancer stops sending devices
+// here), a partial fleet is degraded, a full fleet is ready.
 func (c *Coordinator) HealthStatus() string {
 	if c.Draining() {
 		return obs.HealthDraining
@@ -657,7 +654,7 @@ func (c *Coordinator) HealthStatus() string {
 }
 
 // FleetSessionsPage aggregates one listing page across the backends in
-// config order (obs.SessionPager): backend A's sessions come first,
+// config order (obs.FleetNode): backend A's sessions come first,
 // then B's, and so on, so paging through the coordinator walks the
 // whole fleet exactly once. Backends that are down or unreachable
 // contribute nothing; totals count only what was actually reachable.

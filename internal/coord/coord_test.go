@@ -189,7 +189,6 @@ func TestCoordFailover(t *testing.T) {
 	coord, coordAddr := startCoord(t, Config{
 		Backends:      []string{addrA, addrB},
 		ProbeInterval: 25 * time.Millisecond,
-		DownAfter:     2,
 		Journal:       journalC,
 	})
 
@@ -376,6 +375,70 @@ func TestCoordOldClientRefused(t *testing.T) {
 	}
 }
 
+// TestCoordRefusesInvalidNames checks that the coordinator judges a
+// hello's names by the backends' own rule: a hello a backend would
+// refuse is refused at the coordinator, before it is hashed, redirected
+// and counted toward its owner's load estimate. Backend A has room for
+// two sessions, so two such hellos counted as redirects would mark it
+// full and divert the next valid device off A's ring span.
+func TestCoordRefusesInvalidNames(t *testing.T) {
+	f, _ := coordSignal(t)
+	cfgA := backendConfig(f)
+	cfgA.MaxSessions = 2
+	srvA, addrA := startBackend(t, cfgA)
+	_, addrB := startBackend(t, backendConfig(f))
+	// An hour-long probe period: no probe reconciles A's load estimate
+	// while the test runs.
+	coord, coordAddr := startCoord(t, Config{
+		Backends:      []string{addrA, addrB},
+		ProbeInterval: time.Hour,
+	})
+
+	ring := NewRing(0)
+	ring.Add(addrA)
+	ring.Add(addrB)
+	ownedByA := func(format string) string {
+		t.Helper()
+		for i := 0; i < 1000; i++ {
+			d := fmt.Sprintf(format, i)
+			if owner, _ := ring.Owner(d, nil); owner == addrA {
+				return d
+			}
+		}
+		t.Fatalf("no %q name lands on backend A", format)
+		return ""
+	}
+
+	before := coord.byAddr[addrA].load()
+	for _, h := range []fleet.Hello{
+		{Device: ownedByA("bad name %d!"), Workload: "bitcount"},
+		{Device: ownedByA("dev-%d"), Workload: "../x"},
+	} {
+		_, err := fleet.DialConfig(coordAddr, h, fleet.ClientConfig{Retries: -1})
+		if err == nil || !strings.HasPrefix(err.Error(), "coord: invalid") {
+			t.Errorf("hello %+v: %v, want the coordinator's own refusal", h, err)
+		}
+	}
+	if n := coord.Registry().Counter("coord_redirects").Value(); n != 0 {
+		t.Errorf("coord_redirects = %d after refused hellos, want 0", n)
+	}
+	if n := coord.Registry().Counter("coord_backend_redirects/" + addrA).Value(); n != 0 {
+		t.Errorf("backend A redirect counter = %d after refused hellos, want 0", n)
+	}
+	if got := coord.byAddr[addrA].load(); got != before {
+		t.Errorf("backend A load estimate %d after refused hellos, want %d", got, before)
+	}
+
+	cl, err := fleet.Dial(coordAddr, fleet.Hello{Device: ownedByA("valid-%d"), Workload: "bitcount"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if active, _ := srvA.ActiveSessions(); active != 1 {
+		t.Fatalf("backend A holds %d sessions, want the valid device on its ring owner", active)
+	}
+}
+
 // TestCoordNoBackends checks that a coordinator with every backend down
 // refuses hellos instead of hanging, and reports itself overloaded.
 func TestCoordNoBackends(t *testing.T) {
@@ -390,7 +453,6 @@ func TestCoordNoBackends(t *testing.T) {
 	coord, coordAddr := startCoord(t, Config{
 		Backends:      []string{dead},
 		ProbeInterval: 20 * time.Millisecond,
-		DownAfter:     1,
 	})
 	if st := coord.HealthStatus(); st != obs.HealthOverloaded {
 		t.Fatalf("health %q with no live backends, want %q", st, obs.HealthOverloaded)
@@ -416,7 +478,6 @@ func TestCoordProbeAtFullBackend(t *testing.T) {
 	coord, coordAddr := startCoord(t, Config{
 		Backends:      []string{addrA, addrB},
 		ProbeInterval: 25 * time.Millisecond,
-		DownAfter:     2,
 	})
 
 	// Fill backend A's single slot.

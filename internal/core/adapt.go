@@ -251,6 +251,7 @@ func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 	ar.drift += drift
 	a.drift += drift
 	a.updates++
+	m.mcfg.Stats.AdaptUpdate(rm.Region, ar.drift, a.drift)
 }
 
 // AdaptEnabled reports whether the adaptive reference layer is active.
@@ -273,18 +274,4 @@ func (m *Monitor) AdaptDrift() float64 {
 		return 0
 	}
 	return m.adapt.drift
-}
-
-// AdaptRegionDrift calls fn with each adapted region's cumulative drift,
-// in ascending region order. Regions never visited (no shadow yet) are
-// skipped.
-func (m *Monitor) AdaptRegionDrift(fn func(region cfg.RegionID, drift float64)) {
-	if m.adapt == nil {
-		return
-	}
-	for _, id := range m.model.RegionIDs() {
-		if ar := m.adapt.regions[id]; ar != nil {
-			fn(id, ar.drift)
-		}
-	}
 }

@@ -1,10 +1,15 @@
 package core_test
 
 import (
+	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"eddie/internal/cfg"
 	"eddie/internal/core"
+	"eddie/internal/metrics"
 	"eddie/internal/pipeline"
 	"eddie/internal/pipeline/pipetest"
 )
@@ -90,6 +95,8 @@ func TestAdaptEngagesOnCleanStream(t *testing.T) {
 	}
 	mcfg := core.DefaultMonitorConfig()
 	mcfg.Adapt = core.AdaptConfig{Enabled: true}
+	st := metrics.NewDetector()
+	mcfg.Stats = st
 	adaptive, err := core.NewMonitor(f.Model, mcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,14 +116,44 @@ func TestAdaptEngagesOnCleanStream(t *testing.T) {
 	if d := adaptive.AdaptDrift(); d > float64(adaptive.AdaptUpdates())*0.05 {
 		t.Errorf("stationary-stream drift %g implausibly large for %d updates", d, adaptive.AdaptUpdates())
 	}
-	// Per-region drift iteration is ordered and only covers visited regions.
-	last := -1
-	adaptive.AdaptRegionDrift(func(id cfg.RegionID, d float64) {
-		if int(id) <= last {
-			t.Errorf("AdaptRegionDrift out of order: %d after %d", id, last)
+	// The Stats hook publishes every admitted update: the counter and the
+	// total match the monitor's own accounting, and the per-region
+	// gauges, one per model region that admitted an update, add up to
+	// the total.
+	if got := st.AdaptUpdates.Value(); got != adaptive.AdaptUpdates() {
+		t.Errorf("adapt_updates %d, monitor reports %d", got, adaptive.AdaptUpdates())
+	}
+	if got := st.AdaptDrift.Value(); got != adaptive.AdaptDrift() {
+		t.Errorf("adapt_drift %g, monitor reports %g", got, adaptive.AdaptDrift())
+	}
+	var sum float64
+	gauges := 0
+	for name, v := range st.Reg.Snapshot() {
+		id, ok := strings.CutPrefix(name, "region_adapt_drift/R")
+		if !ok {
+			continue
 		}
-		last = int(id)
-	})
+		if !slices.Contains(f.Model.RegionIDs(), cfg.RegionID(mustAtoi(t, id))) {
+			t.Errorf("gauge %s names no model region", name)
+		}
+		sum += float64(v.(metrics.FloatGaugeValue))
+		gauges++
+	}
+	if gauges == 0 {
+		t.Fatal("no region_adapt_drift gauges after admitted updates")
+	}
+	if d := adaptive.AdaptDrift(); math.Abs(sum-d) > 1e-9*math.Max(1, d) {
+		t.Errorf("region_adapt_drift gauges add up to %g, total drift %g", sum, d)
+	}
+}
+
+func mustAtoi(t *testing.T, s string) int {
+	t.Helper()
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestAdaptTracksSlowDrift is the tentpole's core claim at unit scale: a
@@ -263,21 +300,28 @@ func TestAdaptGuardedIsBitIdentical(t *testing.T) {
 }
 
 // TestObserveAdaptiveSteadyStateZeroAlloc extends the zero-alloc
-// guarantee to the enabled path: once every visited region's shadow is
-// built, the decide-and-update loop allocates nothing.
+// guarantee to the enabled path, Stats hooks attached: once every
+// visited region's shadow and gauge exist, the decide-and-update loop
+// allocates nothing. Each measured run is a whole pass over the stream
+// (trimmed back so the outcome history stops growing), not one window:
+// AllocsPerRun truncates its per-run average, and updates land on only
+// some windows, so a per-window run would hide an allocation per update.
 func TestObserveAdaptiveSteadyStateZeroAlloc(t *testing.T) {
 	mcfg := core.DefaultMonitorConfig()
 	mcfg.Adapt = core.AdaptConfig{Enabled: true, MinCleanStreak: 4}
+	mcfg.Stats = metrics.NewDetector()
 	mon, sts := monitorFeed(t, mcfg)
-	i := 0
-	avg := testing.AllocsPerRun(2000, func() {
-		mon.Observe(&sts[i%len(sts)])
-		i++
+	before := mon.AdaptUpdates()
+	avg := testing.AllocsPerRun(10, func() {
+		for i := range sts {
+			mon.Observe(&sts[i])
+		}
+		mon.TrimHistory(len(sts))
 	})
 	if avg != 0 {
-		t.Errorf("adaptive Observe allocates %.3f allocs/op in steady state, want 0", avg)
+		t.Errorf("adaptive Observe allocates %.0f times per %d-window pass in steady state, want 0", avg, len(sts))
 	}
-	if mon.AdaptUpdates() == 0 {
+	if mon.AdaptUpdates() == before {
 		t.Error("steady-state loop admitted no updates; the measurement missed the update path")
 	}
 }

@@ -24,6 +24,13 @@ const (
 	// most recent windows (which belong to the new region at a true
 	// border).
 	probeWindows = 8
+	// burstWindows is the horizon of a second, short K-S test run
+	// alongside the region's trained group size: regions with diffuse
+	// spectra train large n (hundreds of windows), and a brief injected
+	// burst would dilute to invisibility inside such a group. The short
+	// test keeps burst detection responsive; its occasional false
+	// rejections are absorbed by reportThreshold.
+	burstWindows = 12
 )
 
 // MonitorConfig controls the monitoring algorithm (Algorithm 1).
@@ -32,20 +39,13 @@ type MonitorConfig struct {
 	// the sensitivity sweeps (Figs 3, 6, 8, 9, 10) use it to trade
 	// detection latency against accuracy. Zero means 1.
 	GroupSizeScale float64
-	// BurstWindows adds a second, short-horizon K-S test alongside the
-	// region's trained group size: regions with diffuse spectra train
-	// large n (hundreds of windows), and a brief injected burst would
-	// dilute to invisibility inside such a group. The short test keeps
-	// burst detection responsive; its occasional false rejections are
-	// absorbed by reportThreshold. Zero means 12; negative disables it.
-	BurstWindows int
 	// Adapt configures the drift-adaptive reference layer (see
 	// AdaptConfig). The zero value disables it, leaving the decision path
 	// bit-identical to the static monitor.
 	Adapt AdaptConfig
 	// Stats, when non-nil, counts monitoring-internals events (K-S
-	// tests, per-window outcomes, region switches, reports). It is never
-	// consulted for decisions.
+	// tests, per-window outcomes, region switches, reports, admitted
+	// adaptation updates). It is never consulted for decisions.
 	Stats *metrics.Detector
 	// Trace, when non-nil, records a span per observed window plus
 	// instant events for region switches and fired reports on the
@@ -104,6 +104,9 @@ type Monitor struct {
 	streak     int
 	alarm      bool
 	lastSwitch int // value of seen when the monitor entered cur
+	// burst is the short-horizon test's group size (burstWindows;
+	// in-package tests raise it out of reach to isolate the main test).
+	burst int
 
 	// slots cache sorted group sets keyed by group size: a probe of R
 	// candidate regions at the same effective n reuses one sorted fill,
@@ -147,9 +150,6 @@ func NewMonitor(model *Model, mcfg MonitorConfig) (*Monitor, error) {
 	if mcfg.GroupSizeScale < 0 {
 		return nil, fmt.Errorf("core: negative group size scale %g", mcfg.GroupSizeScale)
 	}
-	if mcfg.BurstWindows == 0 {
-		mcfg.BurstWindows = 12
-	}
 	scale := mcfg.GroupSizeScale
 	if scale == 0 {
 		scale = 1
@@ -173,6 +173,7 @@ func NewMonitor(model *Model, mcfg MonitorConfig) (*Monitor, error) {
 		energyRing: make([]float64, ringCap),
 		lastMode:   map[cfg.RegionID]int{},
 		cur:        startRegion(model),
+		burst:      burstWindows,
 		track:      mcfg.Trace.Track("monitor"),
 	}
 	for i := range m.slots {
@@ -333,13 +334,13 @@ func (m *Monitor) Observe(sts *STS) bool {
 			break // too few windows of this region yet
 		}
 		rejected := m.evalRegion(curModel, n, rec).rejected
-		if !rejected && m.mcfg.BurstWindows > 0 && n > m.mcfg.BurstWindows {
+		if !rejected && n > m.burst {
 			// Multi-scale: also test a short recent horizon so a brief
 			// burst cannot hide inside a large trained group size. The
 			// burst evidence only becomes the window's provenance when it
 			// is the decisive (rejecting) test; otherwise the accepted
 			// full-group evidence stands.
-			if m.evalRegion(curModel, m.mcfg.BurstWindows, &m.recBurst).rejected {
+			if m.evalRegion(curModel, m.burst, &m.recBurst).rejected {
 				rejected = true
 				m.recBurst.Burst = true
 				rec.CopyEvidence(&m.recBurst)

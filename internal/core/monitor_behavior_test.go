@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -77,11 +78,11 @@ func TestGroupSizeScaleChangesLatency(t *testing.T) {
 		r := rand.New(rand.NewSource(6))
 		mc := DefaultMonitorConfig()
 		mc.GroupSizeScale = scale
-		mc.BurstWindows = -1 // isolate the scaled main test
 		mon, err := NewMonitor(model, mc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		mon.burst = math.MaxInt // isolate the scaled main test
 		// Matching region-0 stream whose peaks drift 8% after window 40:
 		// a shift only a full-size group can resolve.
 		for i := 0; i < 40; i++ {

@@ -54,17 +54,6 @@ type Frame struct {
 	Power []float64
 }
 
-// TotalEnergy returns the sum of the power spectrum excluding the DC bin.
-// EDDIE excludes DC because the mean power level carries no periodicity
-// information and would otherwise dominate the 1%-of-energy peak rule.
-func (f *Frame) TotalEnergy() float64 {
-	var sum float64
-	for i := 1; i < len(f.Power); i++ {
-		sum += f.Power[i]
-	}
-	return sum
-}
-
 // STFT slices signal into overlapping frames and returns the one-sided power
 // spectrum of each. Trailing samples that do not fill a window are dropped,
 // matching the streaming behaviour of the monitoring pipeline.

@@ -34,8 +34,9 @@ type Config struct {
 	// hooks (Tap, GroundTruth and Impair are dropped; Metrics is bound to
 	// the server registry, Flight to the session's recorder), and its
 	// MaxHistoryWindows (fixed at 4096). Like every stream.Config, the
-	// monitor's own hooks are replaced by the stream-level ones. STFT.SampleRate etc. must match
-	// what the models were trained under.
+	// monitor's own hooks are replaced by the stream-level ones. The
+	// STFT and peak settings must match what the models were trained
+	// under.
 	Stream stream.Config
 	// MaxSessions bounds concurrent device sessions; further connections
 	// are refused with a FrameError. Zero derives the bound from
@@ -437,15 +438,25 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Draining implements obs.FleetHealth: true once Shutdown (or Close)
-// has been requested.
+// Draining reports whether Shutdown (or Close) has been requested.
 func (s *Server) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining || s.closed
 }
 
-// ActiveSessions implements obs.FleetHealth: the live session count and
+// HealthStatus is the node's health verdict (obs.FleetNode), the one
+// verdict both the coordinator's probe (LoadReport.Status) and
+// /eddie/healthz report: draining once shutdown was requested, else the
+// SLO tracker's burn-rate verdict (ready without a tracker).
+func (s *Server) HealthStatus() string {
+	if s.Draining() {
+		return obs.HealthDraining
+	}
+	return s.cfg.SLO.Health().Status
+}
+
+// ActiveSessions implements obs.FleetNode: the live session count and
 // the configured bound.
 func (s *Server) ActiveSessions() (active, limit int) {
 	s.mu.Lock()
@@ -516,7 +527,7 @@ func (s *Server) SessionsPage(offset, limit int) (page []SessionInfo, total, act
 	return page, total, active
 }
 
-// FleetSessionsPage implements obs.SessionPager for the /eddie/fleet
+// FleetSessionsPage implements obs.FleetNode for the /eddie/fleet
 // debug endpoint: one listing page plus fleet-level state, with totals
 // for the paging headers.
 func (s *Server) FleetSessionsPage(offset, limit int) (any, int, int) {
@@ -545,15 +556,11 @@ func (s *Server) FleetSessionsPage(offset, limit int) (any, int, int) {
 // loadReport assembles the control-RPC load answer the coordinator's
 // health probes consume: live sessions against the admission cap,
 // scheduling pressure, the worst per-shard p99 frame-to-verdict
-// latency, and the SLO health verdict.
+// latency, and the node's health verdict (HealthStatus).
 func (s *Server) loadReport() LoadReport {
-	s.mu.Lock()
-	rep := LoadReport{
-		Active:   s.devices, // slot holders only: not probes, not half-open handshakes
-		Max:      s.cfg.MaxSessions,
-		Draining: s.draining || s.closed,
-	}
-	s.mu.Unlock()
+	rep := LoadReport{Status: s.HealthStatus()}
+	rep.Draining = rep.Status == obs.HealthDraining
+	rep.Active, rep.Max = s.ActiveSessions() // slot holders only: not probes, not half-open handshakes
 	for _, sh := range s.shards {
 		rep.QueueDepth += int(sh.gDepth.Value())
 		snap := sh.hVerdict.Snapshot()
@@ -563,14 +570,6 @@ func (s *Server) loadReport() LoadReport {
 		if ms := float64(snap.P99) / 1e6; ms > rep.P99Ms {
 			rep.P99Ms = ms
 		}
-	}
-	switch {
-	case rep.Draining:
-		rep.Status = obs.HealthDraining
-	case s.cfg.SLO != nil:
-		rep.Status = s.cfg.SLO.Health().Status
-	default:
-		rep.Status = obs.HealthReady
 	}
 	return rep
 }

@@ -267,7 +267,9 @@ func TestFleetDrainJournalAndSSE(t *testing.T) {
 
 // TestFleetHealthzFlipsDegraded is the SLO acceptance check: against a
 // tight latency budget an over-budget fleet-load rung flips
-// /eddie/healthz from ready to degraded, observable over HTTP.
+// /eddie/healthz from ready to degraded, observable over HTTP, and a
+// shutdown flips it to draining. In every state the coordinator's probe
+// answer (loadReport) carries the same verdict as healthz.
 func TestFleetHealthzFlipsDegraded(t *testing.T) {
 	f, sig := fleetSignal(t)
 	// A 1 ns budget makes every real verdict over-budget (the
@@ -282,7 +284,7 @@ func TestFleetHealthzFlipsDegraded(t *testing.T) {
 	mux := obs.NewMux(obs.ServeState{Health: slo, Fleet: s})
 	web := httptest.NewServer(mux)
 	defer web.Close()
-	getStatus := func() (int, string) {
+	expect := func(when string, wantCode int, want string) {
 		t.Helper()
 		resp, err := web.Client().Get(web.URL + "/eddie/healthz")
 		if err != nil {
@@ -295,12 +297,15 @@ func TestFleetHealthzFlipsDegraded(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatal(err)
 		}
-		return resp.StatusCode, body.Status
+		if resp.StatusCode != wantCode || body.Status != want {
+			t.Fatalf("%s: healthz %d %s, want %d %s", when, resp.StatusCode, body.Status, wantCode, want)
+		}
+		if probe := s.loadReport().Status; probe != body.Status {
+			t.Fatalf("%s: load report says %s, healthz %s", when, probe, body.Status)
+		}
 	}
 
-	if code, status := getStatus(); code != 200 || status != obs.HealthReady {
-		t.Fatalf("before load: %d %s, want 200 ready", code, status)
-	}
+	expect("before load", 200, obs.HealthReady)
 
 	c, err := DialConfig(addr, Hello{Device: "dev-slo", Workload: "bitcount", DisableDCBlock: true},
 		ClientConfig{DialTimeout: 30 * time.Second, IOTimeout: 120 * time.Second})
@@ -322,8 +327,19 @@ func TestFleetHealthzFlipsDegraded(t *testing.T) {
 	if h.Short.Bad == 0 {
 		t.Fatal("no over-budget verdicts recorded; flip is vacuous")
 	}
-	if code, status := getStatus(); code != 200 || status != obs.HealthDegraded {
-		t.Fatalf("over-budget load: %d %s, want 200 degraded", code, status)
+	expect("over-budget load", 200, obs.HealthDegraded)
+
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(context.Background()) }()
+	for deadline := time.Now().Add(5 * time.Second); s.HealthStatus() != obs.HealthDraining; {
+		if time.Now().After(deadline) {
+			t.Fatal("server never reported draining after Shutdown began")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	expect("shutdown begun", 503, obs.HealthDraining)
+	if err := <-done; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 

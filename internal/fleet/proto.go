@@ -16,6 +16,7 @@ package fleet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -97,6 +98,20 @@ type Hello struct {
 	Proto int `json:"proto,omitempty"`
 }
 
+// Validate checks the hello's names: device and workload are each 1-64
+// characters of [A-Za-z0-9._-]. Backends and coordinators refuse a
+// hello that fails it, so a name is judged by one rule wherever the
+// device dials.
+func (h Hello) Validate() error {
+	if !validName(h.Device) {
+		return errors.New("invalid device name (want 1-64 chars of [A-Za-z0-9._-])")
+	}
+	if !validName(h.Workload) {
+		return errors.New("invalid workload name (want 1-64 chars of [A-Za-z0-9._-])")
+	}
+	return nil
+}
+
 // Redirect is the payload of a FrameRedirect: which backend owns the
 // device that said hello, and where to re-dial it.
 type Redirect struct {
@@ -120,8 +135,9 @@ type LoadReport struct {
 	// P99Ms is the worst per-shard p99 frame-to-verdict latency in
 	// milliseconds (0 before any completed turn).
 	P99Ms float64 `json:"p99Ms"`
-	// Status is the SLO burn-rate health verdict ("ready", "degraded",
-	// "overloaded", "draining"; "ready" when no SLO tracker is wired).
+	// Status is the node's health verdict, Server.HealthStatus
+	// ("ready", "degraded", "overloaded", "draining"; "ready" when no
+	// SLO tracker is wired): the same verdict its /eddie/healthz serves.
 	Status string `json:"status"`
 }
 

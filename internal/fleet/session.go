@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eddie/internal/cfg"
 	"eddie/internal/metrics"
 	"eddie/internal/obs"
 	"eddie/internal/stream"
@@ -79,12 +78,10 @@ type session struct {
 	readBuf       []byte
 	prevWindows   int
 	prevSanitized int64
-	// Adaptation accounting (only touched when the stream template
-	// enables the monitor's drift-adaptive layer).
-	prevAdaptUpdates int64
+	// nextAdaptJournal is the adaptation-update count at which the next
+	// "adapt" journal event is due (0 when the stream template leaves
+	// the monitor's drift-adaptive layer off).
 	nextAdaptJournal int64
-	adaptGauges      map[cfg.RegionID]*metrics.FloatGauge
-	adaptDriftFn     func(cfg.RegionID, float64)
 
 	// Progress counters, atomically readable by session listings while
 	// the shard processor runs.
@@ -210,12 +207,8 @@ func (ss *session) handshake() bool {
 		ss.abort(fmt.Sprintf("bad hello: %v", err))
 		return false
 	}
-	if !validName(hello.Device) {
-		ss.abort("invalid device name (want 1-64 chars of [A-Za-z0-9._-])")
-		return false
-	}
-	if !validName(hello.Workload) {
-		ss.abort("invalid workload name (want 1-64 chars of [A-Za-z0-9._-])")
+	if err := hello.Validate(); err != nil {
+		ss.abort(err.Error())
 		return false
 	}
 	// The device cap is enforced here, not at accept: the accept path
@@ -273,9 +266,6 @@ func (ss *session) handshake() bool {
 	ss.dReports = ss.s.reg.Counter("fleet_device_reports/" + ss.device)
 	ss.dSanitized = ss.s.reg.Counter("fleet_device_sanitized/" + ss.device)
 	if det.Monitor().AdaptEnabled() {
-		// Bound once: the method value would otherwise allocate a closure
-		// on every shard turn that admits updates.
-		ss.adaptDriftFn = ss.recordRegionDrift
 		ss.nextAdaptJournal = 1
 	}
 
@@ -561,8 +551,8 @@ func (ss *session) feedBatch() bool {
 	ss.dWindows.Add(int64(ss.det.Windows() - ss.prevWindows))
 	ss.dSanitized.Add(ss.det.Sanitized() - ss.prevSanitized)
 	ss.prevWindows, ss.prevSanitized = ss.det.Windows(), ss.det.Sanitized()
-	if ss.adaptDriftFn != nil {
-		ss.publishAdapt()
+	if ss.nextAdaptJournal > 0 {
+		ss.journalAdapt()
 	}
 
 	// The detector copies samples into its own ring, so the batch
@@ -606,42 +596,20 @@ func (ss *session) feedBatch() bool {
 // journal on every scheduling turn.
 const adaptJournalEvery = 256
 
-// publishAdapt runs on the session's shard turn after a batch was fed:
-// when the detector admitted new adaptation updates (which it counts on
-// the shared registry's adapt_updates itself), it refreshes the
-// per-region drift gauges and journals the adaptation trail at
-// adaptJournalEvery granularity.
-func (ss *session) publishAdapt() {
+// journalAdapt runs on the session's shard turn after a batch was fed:
+// once the detector's admitted adaptation updates reach the next due
+// count, it journals the adaptation trail. The adaptation metrics
+// (adapt_updates, adapt_drift, region_adapt_drift/R*) are the
+// detector's own: its monitor publishes them through the Stats hook.
+func (ss *session) journalAdapt() {
 	mon := ss.det.Monitor()
-	u := mon.AdaptUpdates()
-	if u == ss.prevAdaptUpdates {
-		return
-	}
-	ss.prevAdaptUpdates = u
-	mon.AdaptRegionDrift(ss.adaptDriftFn)
-	if u >= ss.nextAdaptJournal {
+	if u := mon.AdaptUpdates(); u >= ss.nextAdaptJournal {
 		ss.nextAdaptJournal = u + adaptJournalEvery
 		ss.publishAlarmEvent(&obs.JournalEvent{
 			Type:   "adapt",
 			Detail: fmt.Sprintf("updates=%d drift=%.3f", u, mon.AdaptDrift()),
 		})
 	}
-}
-
-// recordRegionDrift publishes one region's cumulative adaptation drift,
-// resolving and caching the gauge on first use. Fleet-wide the gauge
-// holds the most recently reported session's value — a troubleshooting
-// signal, not an aggregate.
-func (ss *session) recordRegionDrift(id cfg.RegionID, drift float64) {
-	if ss.adaptGauges == nil {
-		ss.adaptGauges = map[cfg.RegionID]*metrics.FloatGauge{}
-	}
-	g := ss.adaptGauges[id]
-	if g == nil {
-		g = ss.s.reg.FloatGauge(fmt.Sprintf("region_adapt_drift/R%d", id))
-		ss.adaptGauges[id] = g
-	}
-	g.Set(drift)
 }
 
 // publishAlarm is the flight recorder's SetOnAlarm hook: the dump is

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"eddie/internal/cfg"
 )
@@ -31,9 +32,10 @@ const DriftEWMAAlpha = 0.02
 // it to a monitor (core.MonitorConfig.Stats, or stream.Config.Metrics,
 // which the stream detector passes on) captures the monitoring
 // internals through its nil-safe hook methods: K-S tests run,
-// per-region statistic distributions, region switches and reports. The
-// stream layer adds sample/window counters and, when ground truth is
-// available, false-positive/negative counts and detection latency.
+// per-region statistic distributions, region switches, reports and
+// admitted adaptation updates. The stream layer adds sample/window
+// counters and, when ground truth is available, false-positive/negative
+// counts and detection latency.
 type Detector struct {
 	// Reg is the backing registry; Snapshot/MarshalJSON/Publish live
 	// there.
@@ -87,6 +89,9 @@ type regionInstruments struct {
 	stat             *Histogram
 	statEWMA         *FloatGauge
 	windows, rejects *Counter
+	// adaptDrift is resolved on the region's first admitted adaptation
+	// update, so static detectors export no region_adapt_drift gauges.
+	adaptDrift atomic.Pointer[FloatGauge]
 }
 
 // region returns the cached instruments for one region, resolving them
@@ -170,6 +175,26 @@ func (d *Detector) WindowObserved(region cfg.RegionID, rejected bool) {
 	if rejected {
 		ri.rejects.Inc()
 	}
+}
+
+// AdaptUpdate counts one reference update admitted by the monitor's
+// drift-adaptive layer, with the updated region's cumulative drift
+// (region_adapt_drift/R<id>) and the monitor's total (adapt_drift). In
+// a fleet several sessions share these gauges, which then hold the most
+// recently reporting session's value. No-op on nil.
+func (d *Detector) AdaptUpdate(region cfg.RegionID, regionDrift, totalDrift float64) {
+	if d == nil {
+		return
+	}
+	d.AdaptUpdates.Inc()
+	d.AdaptDrift.Set(totalDrift)
+	ri := d.region(region)
+	g := ri.adaptDrift.Load()
+	if g == nil {
+		g = d.Reg.FloatGauge(fmt.Sprintf("region_adapt_drift/R%d", region))
+		ri.adaptDrift.Store(g)
+	}
+	g.Set(regionDrift)
 }
 
 // ReportFired counts one anomaly report raised by the monitor. No-op on

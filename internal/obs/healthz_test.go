@@ -7,15 +7,15 @@ import (
 	"time"
 )
 
-// fakeFleetHealth implements FleetHealth for handler tests.
-type fakeFleetHealth struct {
-	draining    bool
+// fakeNode implements FleetNode for handler tests.
+type fakeNode struct {
+	status      string
 	active, max int
 }
 
-func (f *fakeFleetHealth) Draining() bool             { return f.draining }
-func (f *fakeFleetHealth) ActiveSessions() (int, int) { return f.active, f.max }
-func (f *fakeFleetHealth) FleetSessionsPage(int, int) (any, int, int) {
+func (f *fakeNode) HealthStatus() string       { return f.status }
+func (f *fakeNode) ActiveSessions() (int, int) { return f.active, f.max }
+func (f *fakeNode) FleetSessionsPage(int, int) (any, int, int) {
 	return []any{}, 0, 0
 }
 
@@ -67,20 +67,13 @@ func TestHealthzOverloaded503(t *testing.T) {
 	}
 }
 
-// fakeStatusFleet adds a self-supplied verdict (HealthStatuser), the
-// shape the coordinator exposes from ring membership.
-type fakeStatusFleet struct {
-	fakeFleetHealth
-	status string
-}
-
-func (f *fakeStatusFleet) HealthStatus() string { return f.status }
-
 func TestHealthzFleetStatusOverride(t *testing.T) {
 	slo := NewSLOTracker(SLOConfig{})
 	slo.Record(time.Millisecond) // SLO plane says ready
 
-	fleet := &fakeStatusFleet{status: HealthDegraded}
+	// The attached node's verdict is the status (the coordinator
+	// derives one from ring membership).
+	fleet := &fakeNode{status: HealthDegraded}
 	code, body := getHealthz(t, ServeState{Health: slo, Fleet: fleet})
 	if code != 200 || body["status"] != HealthDegraded {
 		t.Fatalf("degraded fleet: code %d status %v, want 200 degraded", code, body["status"])
@@ -92,23 +85,27 @@ func TestHealthzFleetStatusOverride(t *testing.T) {
 		t.Fatalf("dead fleet: code %d status %v, want 503 overloaded", code, body["status"])
 	}
 
-	// The worse verdict wins in both directions: a ready fleet does not
-	// mask an overloaded SLO tracker.
+	// With a node attached the tracker only fills the burn-rate
+	// windows: the node's verdict is the status even against a burned
+	// tracker.
 	burned := NewSLOTracker(SLOConfig{})
 	for i := 0; i < 100; i++ {
 		burned.Record(10 * time.Second)
 	}
 	fleet.status = HealthReady
 	code, body = getHealthz(t, ServeState{Health: burned, Fleet: fleet})
-	if code != 503 || body["status"] != HealthOverloaded {
-		t.Fatalf("burned SLO: code %d status %v, want 503 overloaded", code, body["status"])
+	if code != 200 || body["status"] != HealthReady {
+		t.Fatalf("ready node, burned tracker: code %d status %v, want 200 ready", code, body["status"])
+	}
+	if short, _ := body["short"].(map[string]any); short["bad"] != 100.0 {
+		t.Fatalf("short window %v, want the tracker's 100 bad verdicts", body["short"])
 	}
 }
 
 func TestHealthzDrainingOverrides(t *testing.T) {
 	slo := NewSLOTracker(SLOConfig{})
 	slo.Record(time.Millisecond)
-	fleet := &fakeFleetHealth{draining: true, active: 3, max: 100}
+	fleet := &fakeNode{status: HealthDraining, active: 3, max: 100}
 	code, body := getHealthz(t, ServeState{Health: slo, Fleet: fleet})
 	if code != 503 || body["status"] != HealthDraining {
 		t.Fatalf("code %d status %v, want 503 draining", code, body["status"])

@@ -17,13 +17,21 @@ type PromWriter interface {
 	WritePrometheus(w io.Writer, namespace string)
 }
 
-// SessionPager exposes a paged live listing of detector sessions.
-// FleetSessionsPage returns one listing page plus the listing total and
-// live-session count (surfaced as response headers). The fleet server
-// and the coordinator implement it (obs stays stdlib-only by depending
-// on the interface rather than the fleet package).
-type SessionPager interface {
+// FleetNode is a fleet node the debug mux serves: its paged live
+// session listing, its session counts and its health verdict. The fleet
+// server and the coordinator implement it (obs stays stdlib-only by
+// depending on the interface rather than the fleet package).
+type FleetNode interface {
+	// FleetSessionsPage returns one listing page plus the listing total
+	// and live-session count (surfaced as response headers).
 	FleetSessionsPage(offset, limit int) (page any, total, active int)
+	// ActiveSessions returns the live session count and the admission
+	// bound.
+	ActiveSessions() (active, max int)
+	// HealthStatus is the node's own verdict (HealthReady,
+	// HealthDegraded, HealthOverloaded or HealthDraining): the status
+	// /eddie/healthz serves.
+	HealthStatus() string
 }
 
 // DefaultFleetPageLimit is /eddie/fleet's page size when the request
@@ -45,38 +53,14 @@ type ServeState struct {
 	Flight *FlightRecorder
 	// Trace serves /eddie/trace (a live Chrome trace snapshot).
 	Trace *Recorder
-	// Fleet serves /eddie/fleet (the live device-session listing).
-	Fleet SessionPager
-	// Health serves /eddie/healthz (the SLO burn-rate verdict).
+	// Fleet serves /eddie/fleet (the live device-session listing) and
+	// gives /eddie/healthz its status and session counts.
+	Fleet FleetNode
+	// Health fills /eddie/healthz's burn-rate windows, and gives its
+	// status when no Fleet node is attached.
 	Health *SLOTracker
 	// Alarms serves /eddie/alarms (live alarm SSE streaming).
 	Alarms *AlarmStream
-}
-
-// HealthStatuser lets the fleet object supply its own health verdict in
-// addition to the SLO tracker's — the coordinator derives one from ring
-// membership (no live backend = overloaded, partial fleet = degraded).
-// The worse of the two verdicts wins, so healthz fails closed whichever
-// plane sees the trouble first.
-type HealthStatuser interface {
-	HealthStatus() string
-}
-
-// healthSeverity orders verdicts for combining independent sources.
-var healthSeverity = map[string]int{
-	HealthReady:      0,
-	HealthDegraded:   1,
-	HealthOverloaded: 2,
-	HealthDraining:   3,
-}
-
-// FleetHealth augments the healthz verdict with fleet lifecycle state;
-// the fleet server implements it (obs stays stdlib-only by depending on
-// the interface). A draining server reports HealthDraining regardless
-// of burn rates.
-type FleetHealth interface {
-	Draining() bool
-	ActiveSessions() (active, max int)
 }
 
 // NewMux builds the detector's debug HTTP mux:
@@ -87,8 +71,8 @@ type FleetHealth interface {
 //	/eddie/last-alarm  latest flight-recorder alarm dump (JSON)
 //	/eddie/flight      current flight-recorder ring contents (JSON)
 //	/eddie/fleet       live device-session listing (JSON)
-//	/eddie/healthz     SLO burn-rate health verdict (JSON; 503 when
-//	                   overloaded or draining)
+//	/eddie/healthz     health verdict with SLO burn-rate windows (JSON;
+//	                   503 when overloaded or draining)
 //	/eddie/alarms      live alarm stream (Server-Sent Events)
 //	/eddie/trace       Chrome trace-event JSON of the spans so far
 //	/                  plain-text index of the above
@@ -174,27 +158,20 @@ func NewMux(s ServeState) *http.ServeMux {
 	mux.HandleFunc("/eddie/healthz", func(w http.ResponseWriter, r *http.Request) {
 		h := s.Health.Health() // nil-safe: ready with empty windows
 		body := map[string]any{
-			"status":    h.Status,
 			"budget_ms": h.BudgetMillis,
 			"objective": h.Objective,
 			"short":     h.Short,
 			"long":      h.Long,
 		}
-		if hs, ok := s.Fleet.(HealthStatuser); ok {
-			if st := hs.HealthStatus(); healthSeverity[st] > healthSeverity[h.Status] {
-				h.Status = st
-				body["status"] = st
-			}
-		}
-		if fh, ok := s.Fleet.(FleetHealth); ok {
-			if fh.Draining() {
-				h.Status = HealthDraining
-				body["status"] = HealthDraining
-			}
-			active, limit := fh.ActiveSessions()
+		if s.Fleet != nil {
+			// The node's verdict is the one its probes report too, so
+			// a coordinator and a load balancer cannot disagree.
+			h.Status = s.Fleet.HealthStatus()
+			active, limit := s.Fleet.ActiveSessions()
 			body["sessions_active"] = active
 			body["sessions_max"] = limit
 		}
+		body["status"] = h.Status
 		code := http.StatusOK
 		if h.Status == HealthOverloaded || h.Status == HealthDraining {
 			// 503 lets load balancers and the future coordinator act on

@@ -125,9 +125,12 @@ func TestMuxFullState(t *testing.T) {
 	}
 }
 
-// stubFleet is a minimal SessionPager (the real ones are the fleet
+// stubFleet is a minimal FleetNode (the real ones are the fleet
 // server and the coordinator, which obs must not import).
 type stubFleet struct{}
+
+func (stubFleet) ActiveSessions() (int, int) { return 3, 16 }
+func (stubFleet) HealthStatus() string       { return HealthReady }
 
 func (stubFleet) FleetSessionsPage(offset, limit int) (any, int, int) {
 	return map[string]any{"active": 3, "max": 16, "draining": false}, 3, 3
@@ -154,9 +157,10 @@ func TestMuxFleetListing(t *testing.T) {
 	}
 }
 
-// stubPagedFleet implements SessionPager on top of a fixed session
+// stubPagedFleet implements FleetNode on top of a fixed session
 // list, recording the offset/limit it was asked for.
 type stubPagedFleet struct {
+	stubFleet
 	total, active       int
 	gotOffset, gotLimit int
 }

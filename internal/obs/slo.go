@@ -145,8 +145,8 @@ type SLOWindow struct {
 
 // SLOHealth is the tracker's verdict.
 type SLOHealth struct {
-	// Status is HealthReady, HealthDegraded or HealthOverloaded (the
-	// serving layer may override with HealthDraining).
+	// Status is HealthReady, HealthDegraded or HealthOverloaded (a
+	// fleet server's HealthStatus reports HealthDraining over it).
 	Status string `json:"status"`
 	// BudgetMillis is the per-event latency budget.
 	BudgetMillis float64 `json:"budget_ms"`

@@ -96,10 +96,6 @@ type Detector struct {
 
 	dnRefactor int64 // denoiser refactor count already published to Metrics
 
-	// adaptUpdates is the monitor adaptation-update count already
-	// published to Metrics (always 0 with adaptation disabled).
-	adaptUpdates int64
-
 	samplesIn int64
 	sanitized int64
 	windows   int
@@ -267,11 +263,6 @@ func (d *Detector) processWindow() {
 		m.Windows.Inc()
 		m.PeakCount.Observe(float64(len(sts.PeakFreqs)))
 		m.WindowNanos.Record(int64(time.Since(t0)))
-		if u := d.monitor.AdaptUpdates(); u > d.adaptUpdates {
-			m.AdaptUpdates.Add(u - d.adaptUpdates)
-			d.adaptUpdates = u
-			m.AdaptDrift.Set(d.monitor.AdaptDrift())
-		}
 		if dn := d.fe.Denoiser(); dn != nil && dn.Refactors() > d.dnRefactor {
 			m.DenoiseRefactors.Add(dn.Refactors() - d.dnRefactor)
 			d.dnRefactor = dn.Refactors()

@@ -3,6 +3,7 @@ package stream
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"eddie/internal/core"
@@ -265,26 +266,42 @@ func TestDetectorImpairmentChainChunkInvariance(t *testing.T) {
 }
 
 // TestDetectorAdaptMetrics verifies the detector publishes the monitor's
-// adaptation counters: with the adaptive layer on, a long clean stream
-// admits updates and the adapt_updates/adapt_drift instruments track the
-// monitor's own accounting.
+// adaptation telemetry: with the adaptive layer on, a long clean stream
+// admits updates, the adapt_updates/adapt_drift instruments track the
+// monitor's own accounting, and each region that admitted an update has
+// a region_adapt_drift gauge (together they add up to the total). A
+// static detector publishes no such gauge.
 func TestDetectorAdaptMetrics(t *testing.T) {
 	f := pipetest.Tiny(t)
 	run, err := pipeline.CollectRun(f.W, f.Machine, f.Config, 730, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := metrics.NewDetector()
-	cfg := streamCfg(f.Config)
-	cfg.Metrics = m
-	cfg.Monitor.Adapt = core.AdaptConfig{Enabled: true, MinCleanStreak: 4}
-	d, err := NewDetector(f.Model, cfg)
-	if err != nil {
-		t.Fatal(err)
+	feed := func(adapt core.AdaptConfig) (*Detector, *metrics.Detector) {
+		m := metrics.NewDetector()
+		cfg := streamCfg(f.Config)
+		cfg.Metrics = m
+		cfg.Monitor.Adapt = adapt
+		d, err := NewDetector(f.Model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			d.Feed(run.Signal)
+		}
+		return d, m
 	}
-	for i := 0; i < 3; i++ {
-		d.Feed(run.Signal)
+	regionDrift := func(m *metrics.Detector) (sum float64, gauges int) {
+		for name, v := range m.Reg.Snapshot() {
+			if strings.HasPrefix(name, "region_adapt_drift/R") {
+				sum += float64(v.(metrics.FloatGaugeValue))
+				gauges++
+			}
+		}
+		return sum, gauges
 	}
+
+	d, m := feed(core.AdaptConfig{Enabled: true, MinCleanStreak: 4})
 	mon := d.Monitor()
 	if mon.AdaptUpdates() == 0 {
 		t.Fatal("no adaptation updates on a repeated clean stream")
@@ -294,6 +311,19 @@ func TestDetectorAdaptMetrics(t *testing.T) {
 	}
 	if got := m.AdaptDrift.Value(); got != mon.AdaptDrift() {
 		t.Errorf("adapt_drift metric %g, monitor reports %g", got, mon.AdaptDrift())
+	}
+	sum, gauges := regionDrift(m)
+	if gauges == 0 || gauges > len(f.Model.Regions) {
+		t.Errorf("%d region_adapt_drift gauges for a %d-region model", gauges, len(f.Model.Regions))
+	}
+	if total := mon.AdaptDrift(); math.Abs(sum-total) > 1e-9*math.Max(1, total) {
+		t.Errorf("region_adapt_drift gauges add up to %g, total drift %g", sum, total)
+	}
+
+	if _, m := feed(core.AdaptConfig{}); m.AdaptUpdates.Value() != 0 {
+		t.Errorf("static detector counted %d adaptation updates", m.AdaptUpdates.Value())
+	} else if _, gauges := regionDrift(m); gauges != 0 {
+		t.Errorf("static detector published %d region_adapt_drift gauges", gauges)
 	}
 }
 
