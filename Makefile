@@ -127,10 +127,13 @@ bench-fleet-smoke:
 # bit in both argument orders, and to match the brute-force ECDF; then
 # five seconds of FuzzBlendSorted, which requires the reference blend to
 # return the same drift and reference values as its quantile-and-sort
-# reference.
+# reference; then five seconds of FuzzRFFTPower, which requires the
+# real-FFT power spectrum to match the reference radix-2 kernel bit for
+# bit.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzKSPresorted$$' -fuzztime 10s ./internal/stats
 	go test -run '^$$' -fuzz '^FuzzBlendSorted$$' -fuzztime 5s ./internal/stats
+	go test -run '^$$' -fuzz '^FuzzRFFTPower$$' -fuzztime 5s ./internal/dsp
 
 # Cheap decision-bench gate for `make test`: the driver must build, and
 # the go-test decision benchmarks — with the adapt layer's reference
@@ -148,11 +151,11 @@ bench-decision-smoke:
 bench-capture-smoke:
 	go test -short -run '^$$' -bench 'BenchmarkEngineThroughput|BenchmarkTransmit' -benchtime 1x ./internal/sim ./internal/emsim
 
-# Observability overhead check: asserts the monitor's decision loop does
-# 0 allocs/op with tracing/flight recording disabled (the default), that
-# the always-on fleet observability plane (journal lifecycle append,
-# log-histogram record, EWMA drift gauge) stays zero-alloc, and
-# benchmarks the enabled paths for comparison.
+# Observability overhead check: asserts the monitor's decision loop
+# allocates nothing over whole passes with tracing/flight recording
+# disabled (the default), that the always-on fleet observability plane
+# (journal lifecycle append, log-histogram record, EWMA drift gauge)
+# stays zero-alloc, and benchmarks the enabled paths for comparison.
 obs-bench:
 	go test -run TestObserveDisabledObsZeroAlloc -count=1 ./internal/core
 	go test -run 'TestJournalEventZeroAlloc' -count=1 ./internal/obs

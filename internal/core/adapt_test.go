@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"eddie/internal/allocguard"
 	"eddie/internal/cfg"
 	"eddie/internal/core"
 	"eddie/internal/metrics"
@@ -304,23 +305,20 @@ func TestAdaptGuardedIsBitIdentical(t *testing.T) {
 // visited region's shadow and gauge exist, the decide-and-update loop
 // allocates nothing. Each measured run is a whole pass over the stream
 // (trimmed back so the outcome history stops growing), not one window:
-// AllocsPerRun truncates its per-run average, and updates land on only
-// some windows, so a per-window run would hide an allocation per update.
+// updates land on only some windows, so a per-window run would hide an
+// allocation per update.
 func TestObserveAdaptiveSteadyStateZeroAlloc(t *testing.T) {
 	mcfg := core.DefaultMonitorConfig()
 	mcfg.Adapt = core.AdaptConfig{Enabled: true, MinCleanStreak: 4}
 	mcfg.Stats = metrics.NewDetector()
 	mon, sts := monitorFeed(t, mcfg)
 	before := mon.AdaptUpdates()
-	avg := testing.AllocsPerRun(10, func() {
-		for i := range sts {
-			mon.Observe(&sts[i])
+	allocguard.Zero(t, "adaptive Observe", 10, len(sts), func(i int) {
+		mon.Observe(&sts[i])
+		if i == len(sts)-1 {
+			mon.TrimHistory(len(sts))
 		}
-		mon.TrimHistory(len(sts))
 	})
-	if avg != 0 {
-		t.Errorf("adaptive Observe allocates %.0f times per %d-window pass in steady state, want 0", avg, len(sts))
-	}
 	if mon.AdaptUpdates() == before {
 		t.Error("steady-state loop admitted no updates; the measurement missed the update path")
 	}

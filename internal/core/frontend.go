@@ -20,8 +20,6 @@ type Frontend struct {
 	stft     dsp.STFTConfig
 	win      []float64 // shared taper coefficients, read-only
 	plan     *dsp.RFFTPlan
-	windowed []float64
-	spec     []complex128
 	work     []complex128
 	power    []float64
 	denoiser *dsp.Denoiser // nil when denoising is disabled
@@ -55,8 +53,6 @@ func NewFrontend(stftCfg dsp.STFTConfig, peakCfg dsp.PeakConfig, denoise dsp.Den
 	f := &Frontend{peakStep: newPeakStep(stftCfg, peakCfg), stft: stftCfg}
 	f.plan = dsp.PlanRFFT(stftCfg.WindowSize)
 	f.win = dsp.SharedWindow(stftCfg.Window, stftCfg.WindowSize)
-	f.windowed = make([]float64, stftCfg.WindowSize)
-	f.spec = make([]complex128, f.plan.SpectrumLen())
 	f.work = make([]complex128, f.plan.WorkLen())
 	f.power = make([]float64, f.plan.SpectrumLen())
 	if denoise.Enabled() {
@@ -75,10 +71,7 @@ func NewFrontend(stftCfg dsp.STFTConfig, peakCfg dsp.PeakConfig, denoise dsp.Den
 // record "stft", "denoise" and "peaks" spans on tk.
 func (f *Frontend) Reduce(samples []float64, tk obs.Track) *STS {
 	sp := tk.Start("stft")
-	for j, w := range f.win {
-		f.windowed[j] = samples[j] * w
-	}
-	f.plan.PowerInto(f.power, f.windowed, f.spec, f.work)
+	f.plan.PowerInto(f.power, samples, f.win, f.work)
 	sp.End()
 	if f.denoiser != nil {
 		sp = tk.Start("denoise")
@@ -93,19 +86,17 @@ func (f *Frontend) Reduce(samples []float64, tk obs.Track) *STS {
 
 // fromPower reduces one power spectrum to the reused STS: peaks
 // (frequency-refined, sorted ascending) and the energy of the bins from
-// the peak rule's first candidate bin up.
+// the peak rule's first candidate bin up, which is the band total the
+// peak rule has already summed.
 func (p *peakStep) fromPower(power []float64) *STS {
 	p.frame.Power = power
-	p.found = dsp.FindPeaksInto(p.found[:0], &p.frame, p.peakCfg, p.binHz)
+	var energy float64
+	p.found, energy = dsp.FindPeaksInto(p.found[:0], &p.frame, p.peakCfg, p.binHz)
 	freqs := p.sts.PeakFreqs[:0]
 	for _, pk := range p.found {
 		freqs = append(freqs, dsp.InterpolatePeakFrequency(&p.frame, pk.Bin, p.binW))
 	}
 	stats.Sort(freqs)
-	var energy float64
-	for b := max(p.peakCfg.MinBin, 1); b < len(power); b++ {
-		energy += power[b]
-	}
 	p.sts = STS{PeakFreqs: freqs, Energy: energy}
 	return &p.sts
 }

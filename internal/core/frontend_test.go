@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"eddie/internal/allocguard"
 	"eddie/internal/dsp"
 	"eddie/internal/obs"
 )
@@ -51,24 +53,22 @@ func TestFrontendEdgeWindows(t *testing.T) {
 
 // TestFrontendReduceZeroAlloc pins the per-window cost the streaming
 // detector pays: once scratch has grown, Reduce allocates nothing, with
-// or without the denoiser and with tracing disabled.
+// or without the denoiser and with tracing disabled. Each measured pass
+// reduces every window of the capture.
 func TestFrontendReduceZeroAlloc(t *testing.T) {
 	stft, peaks := frontendTestConfig()
-	x := frontendTestSignal(64*stft.HopSize+stft.WindowSize, stft)
+	const windows = 64
+	x := frontendTestSignal(windows*stft.HopSize+stft.WindowSize, stft)
 	for _, dn := range []dsp.DenoiseConfig{{}, {Rank: 3, Block: 8, Stride: 2, Seed: 4}} {
 		fe, err := NewFrontend(stft, peaks, dn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fe.Capture(x) // warm-up: grow peak scratch, fill the denoiser ring
-		start := 0
-		allocs := testing.AllocsPerRun(200, func() {
+		allocguard.Zero(t, fmt.Sprintf("denoise %+v: Reduce", dn), 4, windows, func(i int) {
+			start := i * stft.HopSize
 			fe.Reduce(x[start:start+stft.WindowSize], obs.Track{})
-			start = (start + stft.HopSize) % (len(x) - stft.WindowSize)
 		})
-		if allocs != 0 {
-			t.Errorf("denoise %+v: Reduce allocates %.1f times per window", dn, allocs)
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"eddie/internal/allocguard"
 	"eddie/internal/core"
 	"eddie/internal/obs"
 	"eddie/internal/pipeline"
@@ -34,20 +35,18 @@ func monitorFeed(tb testing.TB, mcfg core.MonitorConfig) (*core.Monitor, []core.
 // TestObserveDisabledObsZeroAlloc pins the contract the obs layer is
 // built around: with Trace, Flight and Stats all nil (the default
 // configuration), the monitor's decision loop performs zero heap
-// allocations per observed window. testing.AllocsPerRun divides total
-// allocations by the run count, so the amortized ring/outcome slice
-// growth (a handful of allocations across thousands of windows) rounds
-// to zero while any per-window allocation would not.
+// allocations per observed window. Each measured pass observes the
+// whole run, then empties the outcome and report history, which would
+// otherwise grow by a report per pass; one allocation anywhere in the
+// pass fails the guard.
 func TestObserveDisabledObsZeroAlloc(t *testing.T) {
 	mon, sts := monitorFeed(t, core.DefaultMonitorConfig())
-	i := 0
-	avg := testing.AllocsPerRun(2000, func() {
-		mon.Observe(&sts[i%len(sts)])
-		i++
+	allocguard.Zero(t, "disabled-observability Observe", 4, len(sts), func(i int) {
+		mon.Observe(&sts[i])
+		if i == len(sts)-1 {
+			mon.TrimHistory(0)
+		}
 	})
-	if avg != 0 {
-		t.Errorf("disabled-observability Observe allocates %.3f allocs/op, want 0", avg)
-	}
 }
 
 func BenchmarkObserveDisabled(b *testing.B) {

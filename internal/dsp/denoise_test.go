@@ -3,6 +3,8 @@ package dsp
 import (
 	"math"
 	"testing"
+
+	"eddie/internal/allocguard"
 )
 
 // synthSpectrum writes a low-rank "loop activity" spectrum into dst:
@@ -228,14 +230,12 @@ func TestDenoiserSteadyStateZeroAlloc(t *testing.T) {
 		noisySpectrum(buf, w, 1.0, noise)
 		d.Push(buf)
 	}
-	avg := testing.AllocsPerRun(60, func() {
+	// A pass of 24 pushes spans four refactors (stride 6).
+	allocguard.Zero(t, "steady-state Push", 3, 24, func(int) {
 		noisySpectrum(buf, w, 1.0, noise)
 		d.Push(buf)
 		w++
 	})
-	if avg != 0 {
-		t.Errorf("steady-state Push allocates %.2f allocs/op, want 0", avg)
-	}
 }
 
 // TestDenoiserRankClamp: rank ≥ min(bins, block) clamps instead of

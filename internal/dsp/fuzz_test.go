@@ -40,8 +40,9 @@ func FuzzFFTRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzFindPeaks checks that peak extraction never panics and returns
-// well-formed peaks for arbitrary power spectra.
+// FuzzFindPeaks checks that peak extraction never panics, returns
+// well-formed peaks for arbitrary power spectra, and matches the
+// reference rule bit for bit.
 func FuzzFindPeaks(f *testing.F) {
 	f.Add([]byte{10, 0, 10, 0, 200, 0, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -64,5 +65,6 @@ func FuzzFindPeaks(f *testing.F) {
 				t.Fatalf("peaks not sorted by power at %d", i)
 			}
 		}
+		checkPeaksMatch(t, frame.Power, PeakConfig{MinEnergyFraction: 0.01, MinBin: int(data[0] % 8)})
 	})
 }

@@ -37,7 +37,8 @@ func DefaultPeakConfig() PeakConfig {
 // binHz converts a bin index to a frequency; STFTConfig.BinFrequency is the
 // usual choice.
 func FindPeaks(frame *Frame, cfg PeakConfig, binHz func(int) float64) []Peak {
-	return FindPeaksInto(nil, frame, cfg, binHz)
+	peaks, _ := FindPeaksInto(nil, frame, cfg, binHz)
+	return peaks
 }
 
 // FindPeaksInto is FindPeaks appending into dst's backing array (pass
@@ -46,7 +47,9 @@ func FindPeaks(frame *Frame, cfg PeakConfig, binHz func(int) float64) []Peak {
 // steady-state profile. The returned ordering is identical to
 // FindPeaks: the comparison (power descending, bin ascending) is a
 // total order, so every correct sort produces the same sequence.
-func FindPeaksInto(dst []Peak, frame *Frame, cfg PeakConfig, binHz func(int) float64) []Peak {
+// total is the band energy the fractions are taken of: the sum, in bin
+// order, of the bins from the first candidate (MinBin, at least 1) up.
+func FindPeaksInto(dst []Peak, frame *Frame, cfg PeakConfig, binHz func(int) float64) (peaks []Peak, total float64) {
 	minBin := cfg.MinBin
 	if minBin < 1 {
 		minBin = 1
@@ -57,48 +60,48 @@ func FindPeaksInto(dst []Peak, frame *Frame, cfg PeakConfig, binHz func(int) flo
 	// unrelated parts of the signal (e.g. a high-power episode elsewhere
 	// in the run shifts the global mean); letting them into the
 	// denominator would suppress legitimate peaks.
-	var total float64
 	for i := minBin; i < len(p); i++ {
 		total += p[i]
 	}
-	if total <= 0 {
-		return dst[:0]
+	peaks = dst[:0]
+	last := len(p) - 1
+	if total <= 0 || minBin > last {
+		return peaks, total
 	}
-	peaks := dst[:0]
-	for i := minBin; i < len(p); i++ {
-		left := math.Inf(-1)
-		if i > 0 {
-			left = p[i-1]
+	// A bin is a local maximum unless it is below its left neighbour
+	// or at most its right one; the last bin's right neighbour is
+	// -Inf. Its power takes in the shoulders — a sinusoid windowed by
+	// a Hann taper spreads across ~3 bins — except the left one of the
+	// first candidate bin. The first and last candidates are peeled
+	// off so the interior loop has no edge tests. The comparisons keep
+	// their negated form so NaN powers fare as they always have.
+	keep := func(i int, power float64) {
+		if frac := power / total; !(frac < cfg.MinEnergyFraction) {
+			peaks = append(peaks, Peak{Bin: i, Frequency: binHz(i), Power: power, Fraction: frac})
 		}
-		right := math.Inf(-1)
-		if i+1 < len(p) {
-			right = p[i+1]
+	}
+	if minBin == last {
+		if c := p[last]; !(c < p[last-1] || c <= math.Inf(-1)) {
+			keep(last, c)
 		}
-		if p[i] < left || p[i] <= right {
-			continue // not a local maximum
-		}
-		// Attribute the shoulders' power to the peak: a sinusoid windowed
-		// by a Hann taper spreads across ~3 bins.
-		power := p[i]
-		if i > minBin {
-			power += p[i-1]
-		}
-		if i+1 < len(p) {
-			power += p[i+1]
-		}
-		frac := power / total
-		if frac < cfg.MinEnergyFraction {
+		sortPeaks(peaks)
+		return peaks, total
+	}
+	if c := p[minBin]; !(c < p[minBin-1] || c <= p[minBin+1]) {
+		keep(minBin, c+p[minBin+1])
+	}
+	for i := minBin + 1; i < last; i++ {
+		c := p[i]
+		if c < p[i-1] || c <= p[i+1] {
 			continue
 		}
-		peaks = append(peaks, Peak{
-			Bin:       i,
-			Frequency: binHz(i),
-			Power:     power,
-			Fraction:  frac,
-		})
+		keep(i, c+p[i-1]+p[i+1])
+	}
+	if c := p[last]; !(c < p[last-1] || c <= math.Inf(-1)) {
+		keep(last, c+p[last-1])
 	}
 	sortPeaks(peaks)
-	return peaks
+	return peaks, total
 }
 
 // sortPeaks orders peaks by power descending, breaking ties by bin

@@ -72,7 +72,7 @@ func TestRFFTMatchesComplexFFT(t *testing.T) {
 		}
 
 		power := make([]float64, plan.SpectrumLen())
-		plan.PowerInto(power, x, spec, work)
+		plan.PowerInto(power, x, nil, work)
 		for k := range power {
 			w := real(want[k])*real(want[k]) + imag(want[k])*imag(want[k])
 			if math.Abs(power[k]-w) > 1e-7*(1+w) {
@@ -161,8 +161,8 @@ func TestSTFTAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// 63 frames; the fixed overhead is ~7 allocations (window, frames
-	// header, power backing, windowed, spec, work, plan lookup interfaces).
+	// 63 frames; the fixed overhead is ~5 allocations (window, frames
+	// header, power backing, work, plan lookup interfaces).
 	if allocs > 16 {
 		t.Fatalf("STFT allocations per call = %v, want <= 16 (fixed, not per-frame)", allocs)
 	}
@@ -195,11 +195,10 @@ func BenchmarkRFFT1024(b *testing.B) {
 	}
 	plan := PlanRFFT(len(x))
 	power := make([]float64, plan.SpectrumLen())
-	spec := make([]complex128, plan.SpectrumLen())
 	work := make([]complex128, plan.WorkLen())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan.PowerInto(power, x, spec, work)
+		plan.PowerInto(power, x, nil, work)
 	}
 }

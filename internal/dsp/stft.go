@@ -59,9 +59,9 @@ type Frame struct {
 // matching the streaming behaviour of the monitoring pipeline.
 //
 // The hot loop runs the planned real-input FFT (conjugate symmetry halves
-// the butterfly work) and reuses one windowed-sample buffer, one transform
-// scratch buffer and one shared Power backing array across all frames, so
-// the per-frame allocation count is ~zero.
+// the butterfly work), which applies the taper as it packs each frame,
+// and reuses one transform scratch buffer and one shared Power backing
+// array across all frames, so the per-frame allocation count is zero.
 func STFT(signal []float64, cfg STFTConfig) ([]Frame, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -74,17 +74,12 @@ func STFT(signal []float64, cfg STFTConfig) ([]Frame, error) {
 	half := cfg.WindowSize/2 + 1
 	frames := make([]Frame, 0, nFrames)
 	plan := PlanRFFT(cfg.WindowSize)
-	windowed := make([]float64, cfg.WindowSize)
-	spec := make([]complex128, plan.SpectrumLen())
 	work := make([]complex128, plan.WorkLen())
 	powerAll := make([]float64, nFrames*half)
 	for i := 0; i < nFrames; i++ {
 		start := i * cfg.HopSize
-		for j := 0; j < cfg.WindowSize; j++ {
-			windowed[j] = signal[start+j] * win[j]
-		}
 		power := powerAll[i*half : (i+1)*half : (i+1)*half]
-		plan.PowerInto(power, windowed, spec, work)
+		plan.PowerInto(power, signal[start:start+cfg.WindowSize], win, work)
 		frames = append(frames, Frame{Index: i, Start: start, Power: power})
 	}
 	return frames, nil
@@ -120,8 +115,7 @@ func PowerSpectrum(signal []float64) []float64 {
 	}
 	plan := PlanRFFT(n)
 	power := make([]float64, plan.SpectrumLen())
-	spec := make([]complex128, plan.SpectrumLen())
 	work := make([]complex128, plan.WorkLen())
-	plan.PowerInto(power, signal, spec, work)
+	plan.PowerInto(power, signal, nil, work)
 	return power
 }

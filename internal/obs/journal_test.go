@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"eddie/internal/allocguard"
 )
 
 func TestJournalAppendAndRecover(t *testing.T) {
@@ -282,11 +284,9 @@ func TestJournalEventZeroAlloc(t *testing.T) {
 	}
 	defer j.Close()
 	j.Event("connect", "device-0001", 1, "s00", "") // warm the line buffer
-	if allocs := testing.AllocsPerRun(1000, func() {
+	allocguard.Zero(t, "Journal.Event", 10, 100, func(int) {
 		j.Event("connect", "device-0001", 1, "s00", "")
-	}); allocs != 0 {
-		t.Fatalf("Journal.Event allocates %v allocs/op, want 0", allocs)
-	}
+	})
 }
 
 func BenchmarkJournalEvent(b *testing.B) {

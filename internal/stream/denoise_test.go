@@ -3,6 +3,7 @@ package stream
 import (
 	"testing"
 
+	"eddie/internal/allocguard"
 	"eddie/internal/core"
 	"eddie/internal/dsp"
 	"eddie/internal/metrics"
@@ -76,15 +77,14 @@ func TestDenoiseDisabledNoOverhead(t *testing.T) {
 		d.Feed(chunks[i%len(chunks)])
 	}
 	before := len(d.Monitor().Reports)
-	avg := testing.AllocsPerRun(30, func() {
+	// Four passes of eight chunks: the 32 chunks the stretch before the
+	// next splice allows.
+	allocguard.Zero(t, "disabled-denoise steady state", 3, 8, func(int) {
 		d.Feed(chunks[i%len(chunks)])
 		i++
 	})
 	if n := len(d.Monitor().Reports) - before; n != 0 {
 		t.Skipf("measurement window fired %d reports; no report-free stretch", n)
-	}
-	if avg != 0 {
-		t.Errorf("disabled-denoise steady state allocates %.3f allocs/op, want 0", avg)
 	}
 }
 
