@@ -127,12 +127,15 @@ bench-fleet-smoke:
 # bit in both argument orders, and to match the brute-force ECDF; then
 # five seconds of FuzzBlendSorted, which requires the reference blend to
 # return the same drift and reference values as its quantile-and-sort
-# reference; then five seconds of FuzzRFFTPower, which requires the
-# real-FFT power spectrum to match the reference radix-2 kernel bit for
-# bit.
+# reference; then five seconds of FuzzBlendSummary, which requires the
+# count/energy summary blend to move its ends exactly as the sample
+# blend moves the sample's ends; then five seconds of FuzzRFFTPower,
+# which requires the real-FFT power spectrum to match the reference
+# radix-2 kernel bit for bit.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzKSPresorted$$' -fuzztime 10s ./internal/stats
 	go test -run '^$$' -fuzz '^FuzzBlendSorted$$' -fuzztime 5s ./internal/stats
+	go test -run '^$$' -fuzz '^FuzzBlendSummary$$' -fuzztime 5s ./internal/stats
 	go test -run '^$$' -fuzz '^FuzzRFFTPower$$' -fuzztime 5s ./internal/dsp
 
 # Cheap decision-bench gate for `make test`: the driver must build, and

@@ -95,17 +95,41 @@ func (c AdaptConfig) withDefaults() (AdaptConfig, error) {
 	return c, nil
 }
 
-// adaptRegion is one region's adaptive shadow: a private deep copy of the
-// trained RegionModel whose mode references, count reference and energy
-// reference are mutable sketches. The shadow — never the shared, interned
-// Model — is what the monitor's decision path tests against, so thousands
-// of fleet sessions can adapt independently off one trained model.
+// adaptRegion is one region's adaptive shadow: a private copy of the
+// trained RegionModel's header whose count and energy summaries, and the
+// mode references adaptation has taught, are mutable sketches. The
+// shadow — never the shared, interned Model — is what the monitor's
+// decision path tests against, so thousands of fleet sessions can adapt
+// independently off one trained model.
 type adaptRegion struct {
 	rm RegionModel
 	// drift accumulates the normalized per-update shift of this region's
 	// sketches: how far adaptation has pulled the reference from its
 	// trained position, in units of (floored) reference spans.
 	drift float64
+}
+
+// ownRef returns rank k of mode i's references for blending, as the
+// shadow's private copy. The mode's first blend deep-copies all its
+// ranks into one backing array; until then they alias trained, the
+// trained model's references of mode i. A session therefore pays only
+// for the modes it taught.
+func (ar *adaptRegion) ownRef(trained [][]float64, i, k int) []float64 {
+	md := &ar.rm.Modes[i]
+	if &md.Ref[0] == &trained[0] {
+		total := 0
+		for _, r := range trained {
+			total += len(r)
+		}
+		buf := make([]float64, 0, total)
+		md.Ref = make([][]float64, len(trained))
+		for j, r := range trained {
+			off := len(buf)
+			buf = append(buf, r...)
+			md.Ref[j] = buf[off:len(buf):len(buf)]
+		}
+	}
+	return md.Ref[k]
 }
 
 // adaptState is the monitor's adaptation bookkeeping.
@@ -131,25 +155,16 @@ func newAdaptState(c AdaptConfig) (*adaptState, error) {
 }
 
 // region returns src's adaptive shadow, building it on first use. The
-// shadow copies every slice the blend mutates (mode refs, count ref,
-// energy ref); the pooled Ref and the immutable metadata alias the
-// trained model.
+// shadow copies only the header and the slice of mode headers: the
+// summaries are values, and the mode references stay shared with the
+// trained model until they are first blended (ownRef).
 func (a *adaptState) region(src *RegionModel) *adaptRegion {
 	ar := a.regions[src.Region]
 	if ar != nil {
 		return ar
 	}
 	ar = &adaptRegion{rm: *src}
-	ar.rm.Modes = make([]RegionMode, len(src.Modes))
-	for i, md := range src.Modes {
-		refs := make([][]float64, len(md.Ref))
-		for k, r := range md.Ref {
-			refs[k] = append([]float64(nil), r...)
-		}
-		ar.rm.Modes[i] = RegionMode{Run: md.Run, Ref: refs}
-	}
-	ar.rm.CountRef = append([]float64(nil), src.CountRef...)
-	ar.rm.EnergyRef = append([]float64(nil), src.EnergyRef...)
+	ar.rm.Modes = append([]RegionMode(nil), src.Modes...)
 	a.regions[src.Region] = ar
 	return ar
 }
@@ -172,11 +187,12 @@ func (m *Monitor) regionModel(id cfg.RegionID) *RegionModel {
 // reference sketches. rm is the region's shadow model (the one the clean
 // verdict was computed against) and n the group size just tested, so
 // fillGroups(n) is a slot-cache hit for the very group just tested. The
-// update costs one K-S statistic and one BlendSorted sweep per rank plus
-// one sweep each over the pooled count and energy references (up to a
-// few thousand values), and zero allocations: each sweep is linear, and
-// the blended reference is re-sorted only in the rare case a sweep left
-// a neighbouring pair out of order.
+// update costs one K-S statistic and one BlendSorted sweep per rank of
+// the accepting mode plus a three-point BlendSummary each for the count
+// and energy summaries, and no allocation once the mode has been taught:
+// each sweep is linear, and the blended reference is re-sorted only in
+// the rare case a sweep left a neighbouring pair out of order. A mode's
+// first blend copies its references out of the trained model (ownRef).
 func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 	a := m.adapt
 	a.cleanStreak++
@@ -191,7 +207,9 @@ func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 	// Teach only the mode that accepted the group: the other training
 	// modes describe inputs the stream is not currently executing, and
 	// pulling them toward this group would smear distinct modes together.
-	mode := &ar.rm.Modes[m.lastMode[rm.Region]%len(ar.rm.Modes)]
+	mi := m.lastMode[rm.Region] % len(ar.rm.Modes)
+	mode := &ar.rm.Modes[mi]
+	trained := m.model.Regions[rm.Region].Modes[mi].Ref
 	ranks := rm.NumPeaks
 	if ranks > len(g.ranks) {
 		ranks = len(g.ranks)
@@ -231,7 +249,7 @@ func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 		if refMid > 0 {
 			minSpan = adaptRelSpanFloor * refMid
 		}
-		drift += stats.BlendSorted(ref, obs, a.cfg.Rate, adaptMaxStepFrac, minSpan)
+		drift += stats.BlendSorted(ar.ownRef(trained, mi, k), obs, a.cfg.Rate, adaptMaxStepFrac, minSpan)
 		blended++
 	}
 	if blended == 0 {
@@ -239,12 +257,12 @@ func (m *Monitor) adaptObserve(rm *RegionModel, n int, qualified bool) {
 		// plausible teacher at all, so leave the side channels alone too.
 		return
 	}
-	if len(ar.rm.CountRef) > 0 && len(g.counts) > 0 {
-		drift += stats.BlendSorted(ar.rm.CountRef, g.counts, a.cfg.Rate, adaptMaxStepFrac, 0)
+	if ar.rm.Counts.N > 0 && len(g.counts) > 0 {
+		drift += stats.BlendSummary(&ar.rm.Counts, g.counts, a.cfg.Rate, adaptMaxStepFrac, 0)
 		blended++
 	}
-	if len(ar.rm.EnergyRef) > 0 && len(g.energies) > 0 {
-		drift += stats.BlendSorted(ar.rm.EnergyRef, g.energies, a.cfg.Rate, adaptMaxStepFrac, 0)
+	if ar.rm.Energies.N > 0 && len(g.energies) > 0 {
+		drift += stats.BlendSummary(&ar.rm.Energies, g.energies, a.cfg.Rate, adaptMaxStepFrac, 0)
 		blended++
 	}
 	drift /= float64(blended)

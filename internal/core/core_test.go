@@ -6,6 +6,7 @@ import (
 
 	"eddie/internal/cfg"
 	"eddie/internal/isa"
+	"eddie/internal/stats"
 )
 
 // testMachine builds a two-nest machine for synthetic-data tests.
@@ -105,11 +106,19 @@ func TestTrainBuildsRegionModels(t *testing.T) {
 			t.Errorf("region %d: %d training windows, want 480", nest, rm.TrainWindows)
 		}
 		// References sorted ascending.
-		for k, ref := range rm.Ref {
-			for i := 1; i < len(ref); i++ {
-				if ref[i] < ref[i-1] {
-					t.Fatalf("region %d rank %d reference not sorted", nest, k)
+		for j, mode := range rm.Modes {
+			for k, ref := range mode.Ref {
+				for i := 1; i < len(ref); i++ {
+					if ref[i] < ref[i-1] {
+						t.Fatalf("region %d mode %d rank %d reference not sorted", nest, j, k)
+					}
 				}
+			}
+		}
+		// The side summaries cover every training window, in order.
+		for _, s := range []stats.Summary{rm.Counts, rm.Energies} {
+			if s.N != rm.TrainWindows || !(s.Min <= s.Median && s.Median <= s.Max) {
+				t.Errorf("region %d: summary %+v for %d windows", nest, s, rm.TrainWindows)
 			}
 		}
 	}
@@ -245,8 +254,8 @@ func TestSTSPeakAt(t *testing.T) {
 
 func TestCountAndEnergyBounds(t *testing.T) {
 	rm := &RegionModel{
-		CountRef:  []float64{5, 6, 7, 8},
-		EnergyRef: []float64{100, 200, 400},
+		Counts:   stats.Summarize([]float64{5, 6, 7, 8}),
+		Energies: stats.Summarize([]float64{100, 200, 400}),
 	}
 	lo, hi := rm.CountBounds()
 	if lo != 2 || hi != 11 {

@@ -84,14 +84,14 @@ func evalGroups(rm *RegionModel, modes []RegionMode, g *groupSet, cAlpha float64
 	if prov != nil {
 		prov.best = prov.best[:0]
 	}
-	if len(g.counts) > 0 && len(rm.CountRef) > 0 {
+	if len(g.counts) > 0 && rm.Counts.N > 0 {
 		lo, hi := rm.CountBounds()
 		if med := stats.MedianSorted(g.counts); med < lo || med > hi {
 			res.countOut = true
 			return res
 		}
 	}
-	if len(g.energies) > 0 && len(rm.EnergyRef) > 0 {
+	if len(g.energies) > 0 && rm.Energies.N > 0 {
 		lo, hi := rm.EnergyBounds()
 		if med := stats.MedianSorted(g.energies); med < lo || med > hi {
 			res.countOut = true

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"eddie/internal/cfg"
+	"eddie/internal/stats"
 )
 
 // RegionModel is the trained characterization of one region: its reference
@@ -22,10 +23,6 @@ type RegionModel struct {
 	// STSs have no usable peaks (e.g. the peakless GSM loop the paper
 	// blames for poor coverage).
 	NumPeaks int
-	// Ref[k] is the pooled reference sample of rank-k peak frequencies
-	// across all training runs (sorted ascending). Used for reporting and
-	// distribution plots (Fig 2); the monitoring decision uses Modes.
-	Ref [][]float64
 	// Modes holds one reference distribution per training run that
 	// visited the region. Within one execution the STSs of a region are
 	// strongly correlated (one input → one spectral "mode"), so a
@@ -33,20 +30,24 @@ type RegionModel struct {
 	// if it is consistent with at least one — the pooled mixture would
 	// reject any tight group outright (a point mass has K-S distance
 	// >= 0.5 from any diffuse distribution). This is why the paper needs
-	// "multiple runs ... to improve coverage" (§4.1).
+	// "multiple runs ... to improve coverage" (§4.1). The pooled
+	// cross-run reference is training-local: it sizes the group (see
+	// detectableShiftD) and is not kept (PooledRefs rebuilds it).
 	Modes []RegionMode
-	// CountRef is the reference sample of per-window peak counts (sorted
-	// ascending): the "statistical properties of the spikes" beyond their
+	// Counts summarizes the per-window peak counts of the training
+	// windows: the "statistical properties of the spikes" beyond their
 	// positions. Injected code typically adds spectral content, so the
-	// count distribution is a sensitive extra test dimension.
-	CountRef []float64
-	// EnergyRef is the reference sample of per-window AC spectral energy
-	// (sorted ascending). A region's loops emit a characteristic level of
+	// count is a sensitive extra test dimension. The monitor reads only
+	// its ends (CountBounds); the median is kept for rules that need the
+	// sample's center.
+	Counts stats.Summary
+	// Energies summarizes the per-window AC spectral energy of the
+	// training windows. A region's loops emit a characteristic level of
 	// periodic modulation; injected activity with flat power (an empty
 	// spin loop) or heavy off-chip traffic lands far outside it.
-	EnergyRef []float64
+	Energies stats.Summary
 	// GroupSize is the number of monitoring STSs jointly tested against
-	// Ref (the n of §4.2/§4.3), selected per region during training.
+	// the modes (the n of §4.2/§4.3), selected per region during training.
 	GroupSize int
 	// TrainWindows is the number of training STSs the model was built
 	// from, for reporting.
@@ -77,22 +78,20 @@ func (rm *RegionModel) Testable() bool { return rm.NumPeaks > 0 && len(rm.Modes)
 // more spectral content — a 2-instruction in-loop injection already
 // doubles the typical peak count.
 func (rm *RegionModel) CountBounds() (lo, hi float64) {
-	n := len(rm.CountRef)
-	if n == 0 {
+	if rm.Counts.N == 0 {
 		return 0, 0
 	}
-	return rm.CountRef[0] - 3, rm.CountRef[n-1] + 3
+	return rm.Counts.Min - 3, rm.Counts.Max + 3
 }
 
 // EnergyBounds returns the acceptable range of per-window AC energy: the
 // full training range widened by a generous multiplicative margin (the
 // energy channel is a coarse physical check, not a precision test).
 func (rm *RegionModel) EnergyBounds() (lo, hi float64) {
-	n := len(rm.EnergyRef)
-	if n == 0 {
+	if rm.Energies.N == 0 {
 		return 0, 0
 	}
-	return rm.EnergyRef[0] / 4, rm.EnergyRef[n-1] * 4
+	return rm.Energies.Min / 4, rm.Energies.Max * 4
 }
 
 // Model is a trained EDDIE model for one program.

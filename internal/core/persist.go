@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"eddie/internal/cfg"
+	"eddie/internal/stats"
 )
 
 // modelFile is the on-disk representation of a trained model. The region
@@ -37,10 +38,17 @@ type regionModelFile struct {
 	NumPeaks     int              `json:"numPeaks"`
 	GroupSize    int              `json:"groupSize"`
 	TrainWindows int              `json:"trainWindows"`
-	Ref          [][]float64      `json:"ref"`
-	CountRef     []float64        `json:"countRef"`
-	EnergyRef    []float64        `json:"energyRef"`
+	Counts       *summaryFile     `json:"counts,omitempty"`
+	Energies     *summaryFile     `json:"energies,omitempty"`
 	Modes        []regionModeFile `json:"modes"`
+
+	// Format 1 carried the pooled per-rank reference and the whole count
+	// and energy samples. LoadModel validates them, summarizes the two
+	// side samples and drops the pooled reference; Save never writes
+	// them.
+	Ref       [][]float64 `json:"ref,omitempty"`
+	CountRef  []float64   `json:"countRef,omitempty"`
+	EnergyRef []float64   `json:"energyRef,omitempty"`
 }
 
 type regionModeFile struct {
@@ -48,7 +56,33 @@ type regionModeFile struct {
 	Ref [][]float64 `json:"ref"`
 }
 
-const modelFormatVersion = 1
+// summaryFile is a stats.Summary on disk. A region without one has no
+// count (or energy) test, as a format-1 region with an empty sample.
+type summaryFile struct {
+	N      int     `json:"n"`
+	Min    float64 `json:"min"`
+	Median float64 `json:"median"`
+	Max    float64 `json:"max"`
+}
+
+func toSummaryFile(s stats.Summary) *summaryFile {
+	if s.N == 0 {
+		return nil
+	}
+	return &summaryFile{N: s.N, Min: s.Min, Median: s.Median, Max: s.Max}
+}
+
+func (sf *summaryFile) summary() stats.Summary {
+	if sf == nil {
+		return stats.Summary{}
+	}
+	return stats.Summary{N: sf.N, Min: sf.Min, Median: sf.Median, Max: sf.Max}
+}
+
+// modelFormatVersion is the format Save writes. Format 2 replaced the
+// count and energy samples with their summaries and dropped the pooled
+// reference; LoadModel reads formats 1 and 2.
+const modelFormatVersion = 2
 
 // Save writes the model to w as JSON.
 func (m *Model) Save(w io.Writer) error {
@@ -71,9 +105,8 @@ func (m *Model) Save(w io.Writer) error {
 			NumPeaks:     rm.NumPeaks,
 			GroupSize:    rm.GroupSize,
 			TrainWindows: rm.TrainWindows,
-			Ref:          rm.Ref,
-			CountRef:     rm.CountRef,
-			EnergyRef:    rm.EnergyRef,
+			Counts:       toSummaryFile(rm.Counts),
+			Energies:     toSummaryFile(rm.Energies),
 		}
 		for _, mode := range rm.Modes {
 			rf.Modes = append(rf.Modes, regionModeFile{Run: mode.Run, Ref: mode.Ref})
@@ -128,9 +161,32 @@ func checkSortedFinite(region cfg.RegionID, what string, xs []float64) error {
 	return nil
 }
 
-// validateRegionFile checks one region's reference data against the
-// invariants Save guarantees and the monitor assumes.
-func validateRegionFile(rf *regionModelFile) error {
+// checkSummary verifies one format-2 summary: it stands for a sample
+// of at least one value, every value is finite, and the values are in
+// order. The count and energy tests read its ends as bounds, so a NaN or
+// reversed pair would silently accept or reject every group.
+func checkSummary(region cfg.RegionID, what string, sf *summaryFile) error {
+	if sf == nil {
+		return nil
+	}
+	if sf.N < 1 {
+		return fmt.Errorf("core: model region %d: %s summary has length %d, want at least 1", region, what, sf.N)
+	}
+	for _, x := range [...]float64{sf.Min, sf.Median, sf.Max} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("core: model region %d: %s summary value %g is not finite", region, what, x)
+		}
+	}
+	if !(sf.Min <= sf.Median && sf.Median <= sf.Max) {
+		return fmt.Errorf("core: model region %d: %s summary not ordered: min %g, median %g, max %g", region, what, sf.Min, sf.Median, sf.Max)
+	}
+	return nil
+}
+
+// validateRegionFile checks one region's reference data, in the given
+// file format, against the invariants Save guarantees and the monitor
+// assumes.
+func validateRegionFile(rf *regionModelFile, format int) error {
 	id := rf.Region
 	if rf.NumPeaks < 0 || rf.NumPeaks > maxLoadNumPeaks {
 		return fmt.Errorf("core: model region %d has invalid peak count %d", id, rf.NumPeaks)
@@ -140,14 +196,6 @@ func validateRegionFile(rf *regionModelFile) error {
 	}
 	if rf.TrainWindows < 0 {
 		return fmt.Errorf("core: model region %d has negative train windows %d", id, rf.TrainWindows)
-	}
-	if len(rf.Ref) != rf.NumPeaks {
-		return fmt.Errorf("core: model region %d: %d reference ranks for %d peaks", id, len(rf.Ref), rf.NumPeaks)
-	}
-	for k, ref := range rf.Ref {
-		if err := checkSortedFinite(id, fmt.Sprintf("ref[%d]", k), ref); err != nil {
-			return err
-		}
 	}
 	for j := range rf.Modes {
 		mo := &rf.Modes[j]
@@ -160,17 +208,31 @@ func validateRegionFile(rf *regionModelFile) error {
 			}
 		}
 	}
+	if format != 1 {
+		if err := checkSummary(id, "counts", rf.Counts); err != nil {
+			return err
+		}
+		return checkSummary(id, "energies", rf.Energies)
+	}
+	if len(rf.Ref) != rf.NumPeaks {
+		return fmt.Errorf("core: model region %d: %d reference ranks for %d peaks", id, len(rf.Ref), rf.NumPeaks)
+	}
+	for k, ref := range rf.Ref {
+		if err := checkSortedFinite(id, fmt.Sprintf("ref[%d]", k), ref); err != nil {
+			return err
+		}
+	}
 	if err := checkSortedFinite(id, "countRef", rf.CountRef); err != nil {
 		return err
 	}
-	if err := checkSortedFinite(id, "energyRef", rf.EnergyRef); err != nil {
-		return err
-	}
-	return nil
+	return checkSortedFinite(id, "energyRef", rf.EnergyRef)
 }
 
 // LoadModel reads a model saved by Save and attaches it to the given
 // region machine, which must have been rebuilt from the same program.
+// It also reads format-1 files, written by earlier builds: their count
+// and energy samples are validated and summarized, and their pooled
+// reference is validated and dropped.
 //
 // The file is treated as untrusted input (in fleet mode its name arrives
 // from a remote client): besides the format/fingerprint checks, every
@@ -184,8 +246,8 @@ func LoadModel(r io.Reader, machine *cfg.Machine) (*Model, error) {
 	if err := dec.Decode(&mf); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
 	}
-	if mf.Format != modelFormatVersion {
-		return nil, fmt.Errorf("core: model format %d not supported (want %d)", mf.Format, modelFormatVersion)
+	if mf.Format != 1 && mf.Format != modelFormatVersion {
+		return nil, fmt.Errorf("core: model format %d not supported (want 1 or %d)", mf.Format, modelFormatVersion)
 	}
 	// NaN fails every comparison, so test for the valid range instead of
 	// the invalid one.
@@ -218,7 +280,7 @@ func LoadModel(r io.Reader, machine *cfg.Machine) (*Model, error) {
 		if m.Regions[rf.Region] != nil {
 			return nil, fmt.Errorf("core: model region %d appears twice", rf.Region)
 		}
-		if err := validateRegionFile(rf); err != nil {
+		if err := validateRegionFile(rf, mf.Format); err != nil {
 			return nil, err
 		}
 		if rf.GroupSize > mf.MaxGroupSize {
@@ -230,9 +292,12 @@ func LoadModel(r io.Reader, machine *cfg.Machine) (*Model, error) {
 			NumPeaks:     rf.NumPeaks,
 			GroupSize:    rf.GroupSize,
 			TrainWindows: rf.TrainWindows,
-			Ref:          rf.Ref,
-			CountRef:     rf.CountRef,
-			EnergyRef:    rf.EnergyRef,
+			Counts:       rf.Counts.summary(),
+			Energies:     rf.Energies.summary(),
+		}
+		if mf.Format == 1 {
+			rm.Counts = stats.Summarize(rf.CountRef)
+			rm.Energies = stats.Summarize(rf.EnergyRef)
 		}
 		for _, mo := range rf.Modes {
 			rm.Modes = append(rm.Modes, RegionMode{Run: mo.Run, Ref: mo.Ref})

@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"eddie/internal/stats"
 )
 
 func TestModelSaveLoadRoundTrip(t *testing.T) {
@@ -40,15 +44,11 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 			lrm.TrainWindows != rm.TrainWindows || len(lrm.Modes) != len(rm.Modes) {
 			t.Errorf("region %d scalar fields differ", id)
 		}
-		for k := range rm.Ref {
-			if len(lrm.Ref[k]) != len(rm.Ref[k]) {
-				t.Fatalf("region %d rank %d length differs", id, k)
-			}
-			for i := range rm.Ref[k] {
-				if lrm.Ref[k][i] != rm.Ref[k][i] {
-					t.Fatalf("region %d rank %d value %d differs", id, k, i)
-				}
-			}
+		if lrm.Counts != rm.Counts || lrm.Energies != rm.Energies {
+			t.Errorf("region %d summaries differ: %+v %+v, saved %+v %+v", id, lrm.Counts, lrm.Energies, rm.Counts, rm.Energies)
+		}
+		if !reflect.DeepEqual(lrm.Modes, rm.Modes) {
+			t.Errorf("region %d modes differ after load", id)
 		}
 	}
 
@@ -177,18 +177,22 @@ func TestLoadModelRejectsCorruptFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	saved := append([]byte(nil), buf.Bytes()...)
+	savedV1 := readV1Fixture(t)
 
 	// The pristine bytes must still load (guards against the fixture
 	// factory itself breaking the file).
-	if _, err := LoadModel(bytes.NewReader(saved), m); err != nil {
-		t.Fatalf("pristine model rejected: %v", err)
+	for _, b := range [][]byte{saved, savedV1} {
+		if _, err := LoadModel(bytes.NewReader(b), m); err != nil {
+			t.Fatalf("pristine model rejected: %v", err)
+		}
 	}
 
-	cases := []struct {
+	type corruption struct {
 		name    string
 		mutate  func(mj map[string]any)
 		wantErr string
-	}{
+	}
+	cases := []corruption{
 		{"alpha zero", func(mj map[string]any) { mj["alpha"] = 0.0 }, "invalid alpha"},
 		{"alpha one", func(mj map[string]any) { mj["alpha"] = 1.0 }, "invalid alpha"},
 		{"alpha negative", func(mj map[string]any) { mj["alpha"] = -0.5 }, "invalid alpha"},
@@ -213,17 +217,52 @@ func TestLoadModelRejectsCorruptFiles(t *testing.T) {
 		{"negative train windows", func(mj map[string]any) {
 			testableRegion(t, mj)["trainWindows"] = -7
 		}, "negative train windows"},
-		{"ragged ref rows", func(mj map[string]any) {
-			reg := testableRegion(t, mj)
-			ref := reg["ref"].([]any)
-			reg["ref"] = ref[:len(ref)-1]
-		}, "reference ranks"},
 		{"ragged mode rows", func(mj map[string]any) {
 			reg := testableRegion(t, mj)
 			mode := reg["modes"].([]any)[0].(map[string]any)
 			ref := mode["ref"].([]any)
 			mode["ref"] = ref[:len(ref)-1]
 		}, "ragged"},
+		{"counts summary empty", func(mj map[string]any) {
+			summaryOf(t, mj, "counts")["n"] = 0
+		}, "length 0"},
+		{"counts summary negative length", func(mj map[string]any) {
+			summaryOf(t, mj, "counts")["n"] = -4
+		}, "length -4"},
+		{"counts summary median below min", func(mj map[string]any) {
+			sm := summaryOf(t, mj, "counts")
+			sm["median"] = sm["min"].(float64) - 1
+		}, "not ordered"},
+		{"energies summary max below median", func(mj map[string]any) {
+			sm := summaryOf(t, mj, "energies")
+			sm["max"] = sm["median"].(float64) / 2
+		}, "not ordered"},
+		{"energies summary min above max", func(mj map[string]any) {
+			sm := summaryOf(t, mj, "energies")
+			sm["min"] = sm["max"].(float64) * 2
+		}, "not ordered"},
+		{"energies summary beyond float64", func(mj map[string]any) {
+			summaryOf(t, mj, "energies")["max"] = json.Number("1e400")
+		}, "cannot unmarshal"},
+		{"unknown region id", func(mj map[string]any) {
+			testableRegion(t, mj)["region"] = 9999
+		}, "not present in machine"},
+		{"duplicate region", func(mj map[string]any) {
+			regions := mj["regions"].([]any)
+			mj["regions"] = append(regions, regions[0])
+		}, "appears twice"},
+		{"no regions", func(mj map[string]any) {
+			mj["regions"] = []any{}
+		}, "no regions"},
+	}
+	// The pooled reference and the whole count and energy samples exist
+	// only in format 1: these cases corrupt the format-1 fixture.
+	v1Cases := []corruption{
+		{"ragged ref rows", func(mj map[string]any) {
+			reg := testableRegion(t, mj)
+			ref := reg["ref"].([]any)
+			reg["ref"] = ref[:len(ref)-1]
+		}, "reference ranks"},
 		{"unsorted ref row", func(mj map[string]any) {
 			reg := testableRegion(t, mj)
 			row := reg["ref"].([]any)[0].([]any)
@@ -237,28 +276,27 @@ func TestLoadModelRejectsCorruptFiles(t *testing.T) {
 			row := reg["countRef"].([]any)
 			row[0] = row[len(row)-1].(float64) + 1
 		}, "not sorted"},
-		{"unknown region id", func(mj map[string]any) {
-			testableRegion(t, mj)["region"] = 9999
-		}, "not present in machine"},
-		{"duplicate region", func(mj map[string]any) {
-			regions := mj["regions"].([]any)
-			mj["regions"] = append(regions, regions[0])
-		}, "appears twice"},
-		{"no regions", func(mj map[string]any) {
-			mj["regions"] = []any{}
-		}, "no regions"},
+		{"unsorted energy ref", func(mj map[string]any) {
+			reg := testableRegion(t, mj)
+			row := reg["energyRef"].([]any)
+			row[len(row)-1] = row[0].(float64) - 1
+		}, "not sorted"},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := LoadModel(corruptModelJSON(t, saved, tc.mutate), m)
-			if err == nil {
-				t.Fatal("corrupt model accepted")
-			}
-			if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("error %q does not mention %q", err, tc.wantErr)
-			}
-		})
+	run := func(base []byte, cases []corruption) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				_, err := LoadModel(corruptModelJSON(t, base, tc.mutate), m)
+				if err == nil {
+					t.Fatal("corrupt model accepted")
+				}
+				if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("error %q does not mention %q", err, tc.wantErr)
+				}
+			})
+		}
 	}
+	run(saved, cases)
+	run(savedV1, v1Cases)
 }
 
 // TestValidateRegionRejectsNonFinite exercises the NaN/Inf checks
@@ -266,6 +304,8 @@ func TestLoadModelRejectsCorruptFiles(t *testing.T) {
 // validator is the last line of defense for any future binary format or
 // hand-built region model.
 func TestValidateRegionRejectsNonFinite(t *testing.T) {
+	// base carries both formats' side data: format 1 validates the
+	// pooled ref and the samples, format 2 the summaries.
 	base := func() regionModelFile {
 		return regionModelFile{
 			Region:   1,
@@ -276,31 +316,146 @@ func TestValidateRegionRejectsNonFinite(t *testing.T) {
 			},
 			CountRef:  []float64{1, 2},
 			EnergyRef: []float64{1, 2},
+			Counts:    &summaryFile{N: 2, Min: 1, Median: 1.5, Max: 2},
+			Energies:  &summaryFile{N: 2, Min: 1, Median: 1.5, Max: 2},
 			GroupSize: 4,
 		}
 	}
-	if err := validateRegionFile(&regionModelFile{Region: 1, NumPeaks: 1, Ref: [][]float64{{1, 2}}, GroupSize: 4}); err != nil {
+	if err := validateRegionFile(&regionModelFile{Region: 1, NumPeaks: 1, Ref: [][]float64{{1, 2}}, GroupSize: 4}, 1); err != nil {
 		t.Fatalf("valid region rejected: %v", err)
+	}
+	for _, format := range []int{1, 2} {
+		if rf := base(); validateRegionFile(&rf, format) != nil {
+			t.Fatalf("valid format-%d region rejected: %v", format, validateRegionFile(&rf, format))
+		}
 	}
 	for _, tc := range []struct {
 		name   string
+		format int
 		mutate func(rf *regionModelFile)
 	}{
-		{"NaN in ref", func(rf *regionModelFile) { rf.Ref[0][1] = math.NaN() }},
-		{"+Inf in ref", func(rf *regionModelFile) { rf.Ref[0][2] = math.Inf(1) }},
-		{"-Inf in mode ref", func(rf *regionModelFile) { rf.Modes[0].Ref[0][0] = math.Inf(-1) }},
-		{"NaN in countRef", func(rf *regionModelFile) { rf.CountRef[0] = math.NaN() }},
-		{"NaN in energyRef", func(rf *regionModelFile) { rf.EnergyRef[1] = math.NaN() }},
+		{"NaN in ref", 1, func(rf *regionModelFile) { rf.Ref[0][1] = math.NaN() }},
+		{"+Inf in ref", 1, func(rf *regionModelFile) { rf.Ref[0][2] = math.Inf(1) }},
+		{"-Inf in mode ref", 1, func(rf *regionModelFile) { rf.Modes[0].Ref[0][0] = math.Inf(-1) }},
+		{"NaN in countRef", 1, func(rf *regionModelFile) { rf.CountRef[0] = math.NaN() }},
+		{"NaN in energyRef", 1, func(rf *regionModelFile) { rf.EnergyRef[1] = math.NaN() }},
+		{"-Inf in format-2 mode ref", 2, func(rf *regionModelFile) { rf.Modes[0].Ref[0][0] = math.Inf(-1) }},
+		{"NaN counts min", 2, func(rf *regionModelFile) { rf.Counts.Min = math.NaN() }},
+		{"NaN counts median", 2, func(rf *regionModelFile) { rf.Counts.Median = math.NaN() }},
+		{"+Inf energies max", 2, func(rf *regionModelFile) { rf.Energies.Max = math.Inf(1) }},
+		{"-Inf energies min", 2, func(rf *regionModelFile) { rf.Energies.Min = math.Inf(-1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rf := base()
 			tc.mutate(&rf)
-			if err := validateRegionFile(&rf); err == nil {
+			if err := validateRegionFile(&rf, tc.format); err == nil {
 				t.Error("non-finite reference accepted")
 			} else if !strings.Contains(err.Error(), "not finite") {
 				t.Errorf("error %q does not mention finiteness", err)
 			}
 		})
+	}
+}
+
+// readV1Fixture returns testdata/model_v1.json: a format-1 model of the
+// synthetic machine (4 training runs), written by the format-1 Save.
+func readV1Fixture(t *testing.T) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "model_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// summaryOf returns the named summary object of the first testable
+// saved region as a generic JSON object.
+func summaryOf(t *testing.T, m map[string]any, name string) map[string]any {
+	t.Helper()
+	sm, ok := testableRegion(t, m)[name].(map[string]any)
+	if !ok {
+		t.Fatalf("saved region has no %s summary", name)
+	}
+	return sm
+}
+
+// TestLoadModelFormat1 loads a model file written in format 1 by an
+// earlier build. The side samples must come back as their summaries,
+// the modes unchanged, and the model must decide a fixed stream exactly
+// as the same model saved as format 2 and loaded again.
+func TestLoadModelFormat1(t *testing.T) {
+	m := testMachine(t)
+	raw := readV1Fixture(t)
+	v1, err := LoadModel(bytes.NewReader(raw), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mf modelFile
+	if err := json.Unmarshal(raw, &mf); err != nil {
+		t.Fatal(err)
+	}
+	if mf.Format != 1 {
+		t.Fatalf("fixture is format %d, want 1", mf.Format)
+	}
+	for _, rf := range mf.Regions {
+		rm := v1.Regions[rf.Region]
+		if rm.Counts != stats.Summarize(rf.CountRef) || rm.Energies != stats.Summarize(rf.EnergyRef) {
+			t.Errorf("region %d: summaries %+v %+v do not digest the format-1 samples", rf.Region, rm.Counts, rm.Energies)
+		}
+		if rm.Counts.N == 0 || len(rm.Modes) != len(rf.Modes) {
+			t.Errorf("region %d: %d modes, %d count windows", rf.Region, len(rm.Modes), rm.Counts.N)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := v1.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	var generic map[string]any
+	if err := json.Unmarshal(saved, &generic); err != nil {
+		t.Fatal(err)
+	}
+	if generic["format"] != 2.0 {
+		t.Errorf("saved file is format %v, want 2", generic["format"])
+	}
+	for _, r := range generic["regions"].([]any) {
+		for _, key := range []string{"ref", "countRef", "energyRef"} {
+			if _, ok := r.(map[string]any)[key]; ok {
+				t.Errorf("format-2 region still carries %q", key)
+			}
+		}
+	}
+	if len(saved) > len(raw)*55/100 {
+		t.Errorf("format-2 file is %d bytes, format 1 %d: want at most 55%%", len(saved), len(raw))
+	}
+	v2, err := LoadModel(bytes.NewReader(saved), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(v1.Regions, v2.Regions) {
+		t.Error("format-2 round trip changed the region models")
+	}
+
+	r := rand.New(rand.NewSource(31))
+	stream := append(synthRun(r, m, 100e3, 250e3), synthRun(r, m, 100e3*1.2, 250e3)...)
+	outcomes := func(model *Model) ([]WindowOutcome, []Report) {
+		mon, err := NewMonitor(model, DefaultMonitorConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range stream {
+			mon.Observe(&stream[i])
+		}
+		return mon.Outcomes, mon.Reports
+	}
+	o1, r1 := outcomes(v1)
+	o2, r2 := outcomes(v2)
+	if !reflect.DeepEqual(o1, o2) || !reflect.DeepEqual(r1, r2) {
+		t.Error("format-1 and format-2 models decide the stream differently")
+	}
+	if len(r1) == 0 {
+		t.Error("the stream raised no report; it exercises no rejection")
 	}
 }
 

@@ -140,9 +140,9 @@ func Train(programName string, machine *cfg.Machine, runs [][]STS, tc TrainConfi
 		if len(rd.all) < minTrainWindows {
 			return nil
 		}
-		rm := buildRegionModel(ids[i], machine, rd.all)
+		rm, pooled := buildRegionModel(ids[i], machine, rd.all)
 		buildModes(rm, rd.seqs)
-		rm.GroupSize = selectGroupSize(rm, rd.seqs, cAlpha)
+		rm.GroupSize = selectGroupSize(rm, pooled, rd.seqs, cAlpha)
 		built[i] = rm
 		return nil
 	}); err != nil {
@@ -176,9 +176,11 @@ type regionData struct {
 	all  []STS
 }
 
-// buildRegionModel derives the peak-rank count and reference sets of one
-// region from its training windows.
-func buildRegionModel(id cfg.RegionID, machine *cfg.Machine, windows []STS) *RegionModel {
+// buildRegionModel derives the peak-rank count and the count and energy
+// summaries of one region from its training windows. It also returns the
+// pooled per-rank references (see rankRefs) over all of them, which only
+// the group-size selection reads.
+func buildRegionModel(id cfg.RegionID, machine *cfg.Machine, windows []STS) (*RegionModel, [][]float64) {
 	// NumPeaks: the median peak count of the region's STSs, capped.
 	counts := make([]int, len(windows))
 	for i := range windows {
@@ -199,16 +201,39 @@ func buildRegionModel(id cfg.RegionID, machine *cfg.Machine, windows []STS) *Reg
 		NumPeaks:     numPeaks,
 		TrainWindows: len(windows),
 	}
-	rm.Ref = rankRefs(windows, numPeaks)
-	rm.CountRef = make([]float64, len(windows))
-	rm.EnergyRef = make([]float64, len(windows))
+	side := make([]float64, len(windows))
 	for i := range windows {
-		rm.CountRef[i] = float64(len(windows[i].PeakFreqs))
-		rm.EnergyRef[i] = windows[i].Energy
+		side[i] = float64(len(windows[i].PeakFreqs))
 	}
-	sort.Float64s(rm.CountRef)
-	sort.Float64s(rm.EnergyRef)
-	return rm
+	sort.Float64s(side)
+	rm.Counts = stats.Summarize(side)
+	for i := range windows {
+		side[i] = windows[i].Energy
+	}
+	sort.Float64s(side)
+	rm.Energies = stats.Summarize(side)
+	return rm, rankRefs(windows, numPeaks)
+}
+
+// PooledRefs rebuilds, for every region of model, the pooled per-rank
+// reference samples Train sized the region's group from: row k holds the
+// rank-k peak frequency of every window of runs labelled with the
+// region, sorted ascending. runs must be the model's training runs for
+// the rows to match training's; the model keeps only the per-run modes.
+func PooledRefs(model *Model, runs [][]STS) map[cfg.RegionID][][]float64 {
+	windows := map[cfg.RegionID][]STS{}
+	for _, run := range runs {
+		for _, sts := range run {
+			if model.Regions[sts.Region] != nil {
+				windows[sts.Region] = append(windows[sts.Region], sts)
+			}
+		}
+	}
+	out := make(map[cfg.RegionID][][]float64, len(model.Regions))
+	for id, rm := range model.Regions {
+		out[id] = rankRefs(windows[id], rm.NumPeaks)
+	}
+	return out
 }
 
 // buildModes groups a region's windows per training run into reference
@@ -266,7 +291,7 @@ func rankRefs(windows []STS, ranks int) [][]float64 {
 // selectGroupSize implements §4.3: apply the K-S test to training-time
 // STSs with each candidate n and pick the smallest n whose false-rejection
 // rate matches the minimum observed across the grid.
-func selectGroupSize(rm *RegionModel, seqs []taggedSeq, cAlpha float64) int {
+func selectGroupSize(rm *RegionModel, pooled [][]float64, seqs []taggedSeq, cAlpha float64) int {
 	minCandidate := groupSizeGrid[0]
 	if rm.Blind() {
 		return minCandidate
@@ -308,7 +333,7 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, cAlpha float64) int {
 		m = float64(modeSizes[len(modeSizes)/2])
 	}
 	d := powerTargetD
-	if ds := detectableShiftD(rm, shiftFraction); ds > 0 {
+	if ds := detectableShiftD(pooled, shiftFraction); ds > 0 {
 		// Clamp: even razor-sharp references keep a safety margin
 		// (d <= 0.6 -> n >= ~8) and hopelessly diffuse ones don't
 		// drive n to absurd sizes on their own (the visit-length
@@ -425,13 +450,9 @@ func selectGroupSize(rm *RegionModel, seqs []taggedSeq, cAlpha float64) int {
 // frequencies scaled by (1+gamma) — the spectral signature of an in-loop
 // injection that lengthens the loop period by ~gamma. Sharp references
 // yield values near 1; diffuse ones small values.
-func detectableShiftD(rm *RegionModel, gamma float64) float64 {
-	if rm.NumPeaks == 0 {
-		return 0
-	}
+func detectableShiftD(pooled [][]float64, gamma float64) float64 {
 	var ds []float64
-	for k := 0; k < rm.NumPeaks; k++ {
-		ref := rm.Ref[k]
+	for _, ref := range pooled {
 		if len(ref) == 0 {
 			continue
 		}

@@ -13,22 +13,22 @@ import (
 // smallest candidate is the right answer.
 func TestSelectGroupSizeEmptySeqs(t *testing.T) {
 	tc := DefaultTrainConfig()
+	pooled := [][]float64{{1, 2, 3}, {4, 5, 6}}
 	rm := &RegionModel{
 		Region:   1,
 		NumPeaks: 2,
-		Ref:      [][]float64{{1, 2, 3}, {4, 5, 6}},
 		Modes: []RegionMode{
 			{Run: 0, Ref: [][]float64{{1, 2, 3}, {4, 5, 6}}},
 		},
 		TrainWindows: 3,
 	}
 	cAlpha := stats.KolmogorovInverse(1 - tc.Alpha)
-	got := selectGroupSize(rm, nil, cAlpha)
+	got := selectGroupSize(rm, pooled, nil, cAlpha)
 	want := groupSizeGrid[0] // the grid is ascending
 	if got != want {
 		t.Errorf("selectGroupSize with empty seqs = %d, want minimum candidate %d", got, want)
 	}
-	if got2 := selectGroupSize(rm, []taggedSeq{}, cAlpha); got2 != want {
+	if got2 := selectGroupSize(rm, pooled, []taggedSeq{}, cAlpha); got2 != want {
 		t.Errorf("selectGroupSize with zero-length seqs = %d, want %d", got2, want)
 	}
 }

@@ -27,7 +27,11 @@ func AblationModes(e *Env, w io.Writer) (*AblationModesResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pooled := pooledModel(t.model)
+	refs, err := e.pooledRefs(t, e.Sim, e.TrainRunsSim)
+	if err != nil {
+		return nil, err
+	}
+	pooled := pooledModel(t.model, refs)
 
 	scoreBoth := func(runIdx int, inj inject.Injector) (*core.Metrics, *core.Metrics, error) {
 		run, err := pipeline.CollectRun(t.w, t.machine, e.Sim, runIdx, inj)
@@ -85,8 +89,8 @@ func AblationModes(e *Env, w io.Writer) (*AblationModesResult, error) {
 }
 
 // pooledModel returns a copy of the model whose regions each have exactly
-// one mode: the pooled cross-run reference.
-func pooledModel(m *core.Model) *core.Model {
+// one mode: the pooled cross-run reference refs[id].
+func pooledModel(m *core.Model, refs map[cfgRegionID][][]float64) *core.Model {
 	out := &core.Model{
 		ProgramName:  m.ProgramName + "-pooled",
 		Machine:      m.Machine,
@@ -96,7 +100,7 @@ func pooledModel(m *core.Model) *core.Model {
 	}
 	for id, rm := range m.Regions {
 		cp := *rm
-		cp.Modes = []core.RegionMode{{Run: -1, Ref: rm.Ref}}
+		cp.Modes = []core.RegionMode{{Run: -1, Ref: refs[id]}}
 		out.Regions[id] = &cp
 	}
 	return out

@@ -187,6 +187,18 @@ func (e *Env) score(t *trained, c pipeline.Config, runIdx int, inj inject.Inject
 	return pipeline.MonitorAndScore(t.model, c, run.STS, mc)
 }
 
+// pooledRefs rebuilds t's pooled per-rank reference samples, which the
+// model does not keep, from its training windows: the c/runs training
+// runs are collected again (collection is deterministic) and pooled per
+// region as Train pooled them.
+func (e *Env) pooledRefs(t *trained, c pipeline.Config, runs int) (map[cfg.RegionID][][]float64, error) {
+	sts, err := pipeline.CollectRuns(t.w, t.machine, c, 0, runs, nil)
+	if err != nil {
+		return nil, err
+	}
+	return core.PooledRefs(t.model, sts), nil
+}
+
 // loopNests returns the workload's loop-nest count.
 func (t *trained) loopNests() int { return len(t.machine.Nests) }
 

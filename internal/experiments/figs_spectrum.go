@@ -141,11 +141,15 @@ func Fig2(e *Env, w io.Writer) (*Fig2Result, error) {
 		return nil, err
 	}
 	// Use the first modeled loop region's pooled rank-0 reference.
+	refs, err := e.pooledRefs(t, e.Sim, e.TrainRunsSim)
+	if err != nil {
+		return nil, err
+	}
 	var sample []float64
 	for _, id := range t.model.RegionIDs() {
 		rm := t.model.Regions[id]
 		if t.machine.Region(id).Kind == cfg.LoopRegion && !rm.Blind() {
-			sample = rm.Ref[0]
+			sample = refs[id][0]
 			break
 		}
 	}

@@ -1,6 +1,10 @@
 package fleet
 
-import "testing"
+import (
+	"testing"
+
+	"eddie/internal/allocguard"
+)
 
 // TestFifoOrder pushes and pops across several growth cycles and checks
 // strict FIFO order.
@@ -83,15 +87,22 @@ func TestFifoDrainTo(t *testing.T) {
 			t.Fatalf("round %d: %d items left after drain", round, q.len())
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 10; i++ {
-			q.push(i)
+	// Steady state, measured over whole passes of 26 steps: step i
+	// pushes 1+i%4 items and pops 1+i%3, so the head walks around the
+	// ring and pushes wrap past its end; the last step drains the rest.
+	// The warm-up pass grows the ring to its largest occupancy.
+	const steps = 26
+	allocguard.Zero(t, "fifo push+pop+drain", 20, steps, func(i int) {
+		for j := 0; j <= i%4; j++ {
+			q.push(j)
 		}
-		dst = q.drainTo(dst[:0])
+		for j := 0; j <= i%3; j++ {
+			q.pop()
+		}
+		if i == steps-1 {
+			dst = q.drainTo(dst[:0])
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state push+drain allocates %.1f/op, want 0", allocs)
-	}
 }
 
 // TestFifoZeroesSlots checks popped and drained slots do not pin their

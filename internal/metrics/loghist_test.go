@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"eddie/internal/allocguard"
 )
 
 // TestLogBucketIndexExactBelowLinear: values under the linear limit get
@@ -151,16 +153,18 @@ func TestLogHistogramConcurrent(t *testing.T) {
 
 // TestLogHistogramRecordZeroAlloc is the alloc gate for the hot-path
 // record (run by make obs-bench): one Record per fleet frame must not
-// allocate.
+// allocate. Each measured pass records a value in every bucket range: a
+// clamped negative, zero, and both halves of every power of two up to
+// MaxInt64.
 func TestLogHistogramRecordZeroAlloc(t *testing.T) {
 	var h LogHistogram
-	v := int64(0)
-	if allocs := testing.AllocsPerRun(1000, func() {
-		h.Record(v)
-		v += 997
-	}); allocs != 0 {
-		t.Fatalf("LogHistogram.Record allocates %v allocs/op, want 0", allocs)
+	vals := []int64{-5, 0, math.MaxInt64}
+	for sh := 0; sh < 63; sh++ {
+		vals = append(vals, int64(1)<<sh, int64(1)<<sh+int64(1)<<sh/2)
 	}
+	allocguard.Zero(t, "LogHistogram.Record", 20, len(vals), func(i int) {
+		h.Record(vals[i])
+	})
 }
 
 func TestFloatGaugeEWMA(t *testing.T) {

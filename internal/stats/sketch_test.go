@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -275,6 +276,137 @@ func FuzzBlendSorted(f *testing.F) {
 			if ref[i] != want[i] {
 				t.Fatalf("m=%d n=%d: ref[%d] = %v, reference %v", len(ref), len(obs), i, ref[i], want[i])
 			}
+		}
+	})
+}
+
+// blendSummaryRef is the summary definition BlendSummary is held to,
+// written as blendSortedRef writes the sample blend: each of the three
+// points moves rate of the way toward quantileSorted(obs, q), clamped to
+// maxStepFrac of the span, at q = 0.5/N for Min, 0.5 for Median and
+// (N−0.5)/N for Max; the ends are then put in order and the Median
+// clamped between them. The drift is the three steps' mean size over
+// the span.
+func blendSummaryRef(s Summary, obs []float64, rate, maxStepFrac, minSpan float64) (Summary, float64) {
+	if s.N == 0 || len(obs) == 0 || rate <= 0 {
+		return s, 0
+	}
+	span := s.Max - s.Min
+	if span < minSpan {
+		span = minSpan
+	}
+	if span <= 0 {
+		span = math.Abs(s.Min)
+		if span == 0 {
+			span = 1
+		}
+	}
+	maxStep := maxStepFrac * span
+	var total float64
+	move := func(x *float64, q float64) {
+		target := quantileSorted(obs, q)
+		if math.IsNaN(target) || math.IsInf(target, 0) {
+			return
+		}
+		step := math.Max(-maxStep, math.Min(maxStep, rate*(target-*x)))
+		*x += step
+		total += math.Abs(step)
+	}
+	n := float64(s.N)
+	move(&s.Min, 0.5/n)
+	move(&s.Median, 0.5)
+	move(&s.Max, (float64(s.N-1)+0.5)/n)
+	if s.Max < s.Min {
+		s.Min, s.Max = s.Max, s.Min
+	}
+	s.Median = math.Max(s.Min, math.Min(s.Median, s.Max))
+	return s, total / (3 * span)
+}
+
+// FuzzBlendSummary holds BlendSummary to the sample blend it stands in
+// for. The sample is blended by BlendSorted and, separately, by the
+// same per-value steps without the repair pass. Whenever those steps
+// leave the sample ordered, the blended summary's Min and Max must equal
+// the blended sample's ends bit for bit, and for odd N its Median the
+// sample's middle value. On every input the summary must equal
+// blendSummaryRef, drift included, keep Min <= Median <= Max and keep N.
+// Inputs decode as in FuzzBlendSorted.
+func FuzzBlendSummary(f *testing.F) {
+	f.Add(rampBytes(2300, 10), rampBytes(96, 30), 0.1, 0.05, 0.0)
+	f.Add(rampBytes(380, 40), rampBytes(12, 41), 0.1, 0.05, 0.6)
+	f.Add(rampBytes(49, 0), []byte{3}, 0.5, 0.05, 0.0)
+	f.Add([]byte{5}, []byte{9}, 1.0, 1.0, 0.0)
+	f.Add([]byte{5, 9}, []byte{0, 250}, 1.0, 1.0, 0.0)
+	f.Add(rampBytes(60, 0), []byte{9, 9, 9}, 1.9, 0.1, 0.0)
+	f.Add(rampBytes(30, 0), []byte{5}, 1.9, 0.2, 0.0)
+	f.Add(rampBytes(40, 0), []byte{1, 2, 253, 253, 80, 90}, 0.9, 1.0, 0.0)
+	f.Add(rampBytes(100, 0), []byte{10, 20, 254}, 0.9, 1.0, 0.0)
+	f.Add(rampBytes(100, 0), []byte{255, 20, 30}, 0.9, 1.0, 0.0)
+	f.Add(bytes.Repeat([]byte{7}, 31), []byte{9, 9}, 0.5, 0.05, 0.0)
+	f.Add(bytes.Repeat([]byte{0}, 60), []byte{0, 1}, 0.5, 0.05, 0.0)
+	f.Fuzz(func(t *testing.T, refB, obsB []byte, rate, maxStepFrac, minSpan float64) {
+		if len(refB) == 0 || len(obsB) == 0 || len(refB)+len(obsB) > 4096 {
+			t.Skip()
+		}
+		if !(rate > 0) || math.IsInf(rate, 0) {
+			rate = 0.1
+		}
+		if !(maxStepFrac >= 0) || math.IsInf(maxStepFrac, 0) {
+			maxStepFrac = 0.05
+		}
+		if !(minSpan >= 0) || math.IsInf(minSpan, 0) {
+			minSpan = 0
+		}
+		ref := make([]float64, len(refB))
+		for i, v := range refB {
+			ref[i] = float64(v) / 3
+		}
+		Sort(ref)
+		obs := make([]float64, len(obsB))
+		for i, v := range obsB {
+			switch v {
+			case 253:
+				obs[i] = math.NaN()
+			case 254:
+				obs[i] = math.Inf(1)
+			case 255:
+				obs[i] = math.Inf(-1)
+			default:
+				obs[i] = float64(v) / 3
+			}
+		}
+		Sort(obs)
+		n := len(ref)
+		s := Summarize(ref)
+		want, wantDrift := blendSummaryRef(s, obs, rate, maxStepFrac, minSpan)
+		gotDrift := BlendSummary(&s, obs, rate, maxStepFrac, minSpan)
+		if s != want || gotDrift != wantDrift {
+			t.Fatalf("n=%d m=%d: summary %+v drift %v, reference %+v drift %v", n, len(obs), s, gotDrift, want, wantDrift)
+		}
+		if s.N != n || !(s.Min <= s.Median && s.Median <= s.Max) {
+			t.Fatalf("n=%d m=%d: blended summary %+v lost its shape", n, len(obs), s)
+		}
+
+		// The unrepaired sweep: blendSortedRef's steps without its Sort.
+		raw := append([]float64(nil), ref...)
+		span := blendSpan(ref[0], ref[n-1], minSpan)
+		for i := range raw {
+			target := quantileSorted(obs, (float64(i)+0.5)/float64(n))
+			if math.IsNaN(target) || math.IsInf(target, 0) {
+				continue
+			}
+			raw[i] += math.Max(-maxStepFrac*span, math.Min(maxStepFrac*span, rate*(target-raw[i])))
+		}
+		sample := append([]float64(nil), ref...)
+		BlendSorted(sample, obs, rate, maxStepFrac, minSpan)
+		if !sort.Float64sAreSorted(raw) {
+			return // the rounding-reorder exception: the repair pass fired
+		}
+		if s.Min != sample[0] || s.Max != sample[n-1] {
+			t.Fatalf("n=%d m=%d: summary ends [%v, %v], blended sample ends [%v, %v]", n, len(obs), s.Min, s.Max, sample[0], sample[n-1])
+		}
+		if n%2 == 1 && s.Median != sample[n/2] {
+			t.Fatalf("n=%d m=%d: summary median %v, blended sample median %v", n, len(obs), s.Median, sample[n/2])
 		}
 	})
 }
